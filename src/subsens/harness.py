@@ -744,6 +744,12 @@ def _cmd_emd(args) -> int:
             raise ConfigParseError("distribution support exceeds declared ground size")
     value, plan = emd(d1, d2)
     print(f"emd = {value!r}")
+    print(f"support = {len(plan.sources)}x{len(plan.targets)}, "
+          f"reduced = {plan.reduced_rows}x{plan.reduced_cols}, "
+          f"pivots = {plan.pivots}, mass_gap = {plan.mass_gap!r}")
+    print(f"certificate: reduced_cost = {plan.max_negative_reduced_cost!r}, "
+          f"marginal = {plan.max_marginal_residual!r}, "
+          f"slackness = {plan.max_slackness_violation!r}")
     if args.plan:
         with open(args.plan, "w", newline="\n") as fh:
             fh.write(plan.to_csv())

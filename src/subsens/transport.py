@@ -2,12 +2,25 @@
 symmetric-difference ground cost, plus total variation distance and the
 inclusion-probability lower bound.
 
-The solver is a transportation-specialized network simplex on the dense
-cost matrix.  Entering arcs are chosen by most-negative reduced cost; if
-the objective stalls on degenerate pivots the solver switches to Bland's
-rule until it makes progress, which guarantees termination.  Every solve
-returns an optimal plan together with feasible dual potentials
-(complementary slackness within 1e-7).
+|S △ T| is a metric, so an optimal coupling may leave min(p, q) of every
+shared set in place (Kantorovich–Rubinstein duality).  ``emd`` therefore
+cancels the shared mass and solves a transportation problem only between
+the positive part of p - q (rows) and its negative part (columns), on a
+slice of one |S △ T| matrix built with ``np.bitwise_count`` over the
+masks' 64-bit words.
+
+The solver is a transportation-specialized network simplex.  Entering arcs
+are chosen by most-negative reduced cost; if the objective stalls on
+degenerate pivots the solver switches to Bland's rule until it makes
+progress, which guarantees termination.
+
+The reduced dual is extended to every set by the c-transform
+phi(x) = min_j (|x △ t_j| - v_j) over the transported columns: sources get
+u = phi, transported columns keep their v, and cancelled targets get
+v = -phi.  phi is 1-Lipschitz in the metric, so the extension is dual
+feasible on the full problem, and the plan (with one diagonal entry per
+shared set) meets it with complementary slackness within 1e-7.  Every solve
+re-checks that certificate on the full r x c cost matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ DEFAULT_SUPPORT_CAP = 50_000
 PIVOT_TOL = 1e-12
 CERT_TOL = 1e-7
 MASS_TOL = 1e-9
+_WORD = (1 << 64) - 1
 
 
 def sym_diff_cost(a: int, b: int) -> int:
@@ -59,7 +73,12 @@ def inclusion_probability_lower_bound(d1: OutputDistribution,
 
 @dataclass
 class TransportPlan:
-    """Optimal coupling between two subset distributions."""
+    """Optimal coupling between two subset distributions.
+
+    ``mass_gap`` is sum(p) - sum(q) before balancing; ``reduced_rows`` and
+    ``reduced_cols`` are the supports left to transport after cancelling
+    the shared mass.
+    """
 
     sources: list[int]               # support masks, row order
     targets: list[int]               # support masks, column order
@@ -72,6 +91,9 @@ class TransportPlan:
     max_marginal_residual: float = 0.0
     max_slackness_violation: float = 0.0
     pivots: int = 0
+    mass_gap: float = 0.0
+    reduced_rows: int = 0
+    reduced_cols: int = 0
 
     def certificate_ok(self, tol: float = CERT_TOL) -> bool:
         return (self.max_negative_reduced_cost <= tol
@@ -85,6 +107,23 @@ class TransportPlan:
         return "\n".join(lines) + "\n"
 
 
+def _cost_matrix(sources: list[int], targets: list[int]) -> np.ndarray:
+    """|S_i △ T_j| for every pair, as floats: popcount of xor, one 64-bit
+    word of the masks at a time."""
+    bits = max((m.bit_length() for m in sources + targets), default=0)
+    cost = np.empty((len(sources), len(targets)))
+    xor = np.empty(cost.shape, dtype=np.uint64)
+    for w in range(max(1, -(-bits // 64))):
+        s = np.array([(m >> (64 * w)) & _WORD for m in sources], dtype=np.uint64)
+        t = np.array([(m >> (64 * w)) & _WORD for m in targets], dtype=np.uint64)
+        np.bitwise_xor(s[:, None], t[None, :], out=xor)
+        if w == 0:
+            np.bitwise_count(xor, out=cost)
+        else:
+            cost += np.bitwise_count(xor)
+    return cost
+
+
 def _leastcost_initial(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """Initial basic feasible solution by the least-cost crossing-out rule.
 
@@ -94,18 +133,17 @@ def _leastcost_initial(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     tree just as in the northwest-corner rule, but start near the optimum.
     """
     r, c = cost.shape
-    ra, rb = a.copy(), b.copy()
+    ra, rb = a.tolist(), b.tolist()
     row_active = [True] * r
     col_active = [True] * c
     basis = []
     flows = []
-    order = np.argsort(cost, axis=None, kind="stable")
+    order_i, order_j = np.divmod(np.argsort(cost, axis=None, kind="stable"), c)
     remaining = r + c
     rows_left, cols_left = r, c
-    for flat in order:
+    for i, j in zip(order_i.tolist(), order_j.tolist()):
         if remaining <= 1:
             break
-        i, j = divmod(int(flat), c)
         if not (row_active[i] and col_active[j]):
             continue
         f = min(ra[i], rb[j])
@@ -147,9 +185,9 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     for idx, (i, j) in enumerate(basis):
         adj[i][r + j] = idx
         adj[r + j][i] = idx
-    # potentials from scratch once; maintained incrementally afterwards
-    u = np.zeros(r)
-    v = np.zeros(c)
+    # node potentials [u, -v], so that a subtree shift is one indexed
+    # update; computed from scratch once, maintained incrementally afterwards
+    pot = np.zeros(n_nodes)
     seen = [False] * n_nodes
     seen[0] = True
     reached = 1
@@ -163,27 +201,27 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             reached += 1
             i, j = basis[idx]
             if nb >= r:
-                v[nb - r] = cost[i, j] - u[i]
+                pot[nb] = pot[i] - cost[i, j]
             else:
-                u[nb] = cost[i, j] - v[j]
+                pot[nb] = cost[i, j] + pot[r + j]
             stack.append(nb)
     if reached != n_nodes:
         raise RuntimeError(
             f"initial transportation basis is not spanning ({reached}/{n_nodes})")
 
-    bi = np.empty(len(basis), dtype=np.intp)
-    bj = np.empty(len(basis), dtype=np.intp)
+    u, neg_v = pot[:r], pot[r:]
+    # basic arc coordinates, updated at the leaving index on every pivot
+    bi = np.array([i for i, _ in basis], dtype=np.intp)
+    bj = np.array([j for _, j in basis], dtype=np.intp)
+    rc = np.empty_like(cost)
     stall = 0
     bland = False
     pivots = 0
     max_pivots = 200 * n_nodes * max(r, c) + 1000
-    parent = [0] * n_nodes
     parent_arc = [0] * n_nodes
     while True:
-        rc = cost - u[:, None] - v[None, :]
-        for idx, (i, j) in enumerate(basis):
-            bi[idx] = i
-            bj[idx] = j
+        np.subtract(cost, u[:, None], out=rc)
+        rc += neg_v[None, :]
         rc[bi, bj] = 0.0        # guard float dust on basic arcs
         if bland:
             neg = np.argwhere(rc < -PIVOT_TOL)
@@ -195,15 +233,14 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             ei, ej = divmod(flat, c)
             if rc[ei, ej] >= -PIVOT_TOL:
                 break
-        rc_enter = rc[ei, ej]
+        rc_enter = float(rc[ei, ej])
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError("network simplex failed to converge")
 
         # unique tree path from row node ei to col node r+ej
         goal = r + ej
-        for node in range(n_nodes):
-            parent[node] = -1
+        parent = [-1] * n_nodes
         parent[ei] = ei
         stack = [ei]
         while stack:
@@ -238,21 +275,19 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         del adj[li][r + lj]
         del adj[r + lj][li]
         basis[leave] = (ei, ej)
+        bi[leave] = ei
+        bj[leave] = ej
         flows[leave] = theta
         # re-root: the component now containing col ej (after removing the
         # leaving arc) shifts potentials by the entering reduced cost
         comp = [goal]
         mark = {goal}
-        while comp:
-            node = comp.pop()
-            if node >= r:
-                v[node - r] += rc_enter
-            else:
-                u[node] -= rc_enter
+        for node in comp:
             for nb in adj[node]:
                 if nb not in mark:
                     mark.add(nb)
                     comp.append(nb)
+        pot[comp] -= rc_enter
         adj[ei][goal] = leave
         adj[goal][ei] = leave
 
@@ -263,7 +298,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         else:
             stall = 0
             bland = False
-    return basis, flows, u, v, pivots
+    return basis, flows, u, -neg_v, pivots
 
 
 def emd(d1: OutputDistribution, d2: OutputDistribution, *,
@@ -271,8 +306,11 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     """Minimum expected |S △ S'| over couplings of d1 and d2.
 
     Returns the optimal value and a TransportPlan carrying the coupling and
-    an LP-duality certificate.  When both inputs are empirical with the same
-    trial count the objective is also reported as an exact rational.
+    an LP-duality certificate over both full supports.  A total-mass gap is
+    accepted up to MASS_TOL plus the mass both inputs recorded as pruned,
+    and is absorbed into the largest target mass.  When both inputs are
+    empirical with the same trial count the objective is also reported as
+    an exact rational.
     """
     if d1.n != d2.n:
         raise ValueError(f"ground sets differ: {d1.n} vs {d2.n}")
@@ -283,22 +321,65 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
             f"support {len(sources)}+{len(targets)} exceeds cap {support_cap}")
     a = np.array([d1.probs[m] for m in sources], dtype=float)
     b = np.array([d2.probs[m] for m in targets], dtype=float)
-    if abs(a.sum() - b.sum()) > MASS_TOL:
-        raise InfeasibleMarginalsError(f"mass mismatch: {a.sum()} vs {b.sum()}")
-    # absorb sub-tolerance residual so the transportation problem balances
-    b[int(np.argmax(b))] += a.sum() - b.sum()
-    cost = np.empty((len(sources), len(targets)), dtype=float)
-    for i, s in enumerate(sources):
-        for j, t in enumerate(targets):
-            cost[i, j] = (s ^ t).bit_count()
-    basis, flows, u, v, pivots = _network_simplex(a, b, cost)
+    gap = float(a.sum() - b.sum())
+    if abs(gap) > MASS_TOL + d1.lost_mass + d2.lost_mass:
+        raise InfeasibleMarginalsError(
+            f"mass mismatch: {a.sum()} vs {b.sum()} "
+            f"(lost {d1.lost_mass} and {d2.lost_mass})")
+    # absorb the gap so the transportation problem balances
+    b[int(np.argmax(b))] += gap
+    cost = _cost_matrix(sources, targets)
+
+    # cancel shared mass: min(p, q) of each shared set stays in place
+    col_of = {t: j for j, t in enumerate(targets)}
+    shared = [(i, col_of[s]) for i, s in enumerate(sources) if s in col_of]
+    excess_a, excess_b = a.tolist(), b.tolist()
+    kept = []
+    for i, j in shared:
+        m = min(excess_a[i], excess_b[j])
+        excess_a[i] -= m
+        excess_b[j] -= m
+        kept.append(m)
+    rows = [i for i, x in enumerate(excess_a) if x > 0]
+    # targets outside the source support stay as columns even at zero mass,
+    # so that every target not transported has a source-side c-transform
+    shared_cols = {j for _, j in shared}
+    cols = [j for j, x in enumerate(excess_b) if x > 0 or j not in shared_cols]
+
+    u = np.zeros(len(sources))
+    v = np.zeros(len(targets))
+    basis, flows, pivots = [], [], 0
+    if len(rows) and len(cols):
+        ar = np.array([excess_a[i] for i in rows])
+        br = np.array([excess_b[j] for j in cols])
+        br[int(np.argmax(br))] += ar.sum() - br.sum()
+        # disjoint supports cancel nothing: solve on the full matrix, uncopied
+        uncancelled = len(rows) == len(sources) and len(cols) == len(targets)
+        reduced = cost if uncancelled else cost[np.ix_(rows, cols)]
+        basis, flows, _, vr, pivots = _network_simplex(ar, br, reduced)
+        del reduced
+        # c-transform of the reduced dual extends it to every set
+        shifted = cost[:, cols]
+        shifted -= vr[None, :]
+        u = shifted.min(axis=1)
+        v[cols] = vr
+    for i, j in shared:
+        if excess_b[j] <= 0:        # cancelled target
+            v[j] = -u[i]
 
     entries = []
     total = 0.0
     row_sums = np.zeros(len(sources))
     col_sums = np.zeros(len(targets))
     slack = 0.0
-    for (i, j), f in zip(basis, flows):
+    for (i, j), m in zip(shared, kept):
+        row_sums[i] += m
+        col_sums[j] += m
+        if m > 0:
+            entries.append((sources[i], targets[j], m))
+            slack = max(slack, abs(u[i] + v[j]))
+    for (ri, cj), f in zip(basis, flows):
+        i, j = rows[ri], cols[cj]
         row_sums[i] += f
         col_sums[j] += f
         if f > 0:
@@ -307,7 +388,8 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
             slack = max(slack, abs(cost[i, j] - u[i] - v[j]))
     entries.sort()
     total = float(total)
-    rc = cost - u[:, None] - v[None, :]
+    rc = cost - u[:, None]
+    rc -= v[None, :]
     plan = TransportPlan(
         sources=sources, targets=targets, entries=entries, cost=total,
         potentials_source=u, potentials_target=v,
@@ -315,9 +397,10 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
         max_marginal_residual=float(max(np.abs(row_sums - a).max(),
                                         np.abs(col_sums - b).max())),
         max_slackness_violation=float(slack),
-        pivots=pivots,
+        pivots=pivots, mass_gap=gap,
+        reduced_rows=len(rows), reduced_cols=len(cols),
     )
-    plan.cost_rational = _rational_cost(d1, d2, basis, flows, cost)
+    plan.cost_rational = _rational_cost(d1, d2, entries)
     if not plan.certificate_ok():
         raise RuntimeError(
             f"EMD certificate failed: rc={plan.max_negative_reduced_cost}, "
@@ -325,12 +408,13 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     return total, plan
 
 
-def _rational_cost(d1, d2, basis, flows, cost) -> Optional[Fraction]:
+def _rational_cost(d1, d2, entries) -> Optional[Fraction]:
     """Exact objective when both inputs are empirical with matching trials.
 
     Basic solutions of a transportation problem with integral marginals are
-    integral, so flows should be integer multiples of 1/trials; verify the
-    rounding before trusting it.
+    integral, and the reduced marginals are differences of counts, so every
+    entry, kept in place or transported, should be an integer multiple of
+    1/trials; verify the rounding before trusting it.
     """
     if d1.mode != "empirical" or d2.mode != "empirical":
         return None
@@ -338,9 +422,9 @@ def _rational_cost(d1, d2, basis, flows, cost) -> Optional[Fraction]:
         return None
     t = d1.trials
     total = Fraction(0)
-    for (i, j), f in zip(basis, flows):
+    for s, tgt, f in entries:
         count = round(f * t)
         if abs(f * t - count) > 1e-6:
             return None
-        total += Fraction(count, t) * int(cost[i, j])
+        total += Fraction(count, t) * sym_diff_cost(s, tgt)
     return total

@@ -157,7 +157,10 @@ def test_cli_emd_identical_and_point_masses(tmp_path, capsys):
     d = exact_output_distribution(greedy_rule(), f, 2)
     p1 = write(tmp_path, "d1.csv", d.to_csv())
     assert main(["emd", p1, p1, "--n", "6"]) == 0
-    assert "emd = 0.0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "emd = 0.0" in out
+    assert "reduced = 0x0, pivots = 0" in out
+    assert "certificate: reduced_cost = 0.0" in out
 
     a = write(tmp_path, "a.csv", "set_bitmask_hex,probability\n0x3,1.0\n")
     b = write(tmp_path, "b.csv", "set_bitmask_hex,probability\n0x18,1.0\n")

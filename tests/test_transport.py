@@ -1,16 +1,18 @@
 """Exact EMD solver: hand examples, brute-force agreement, metric axioms,
-duality certificates, serialization."""
+duality certificates, serialization, and differential tests of the
+difference solve against brute force and the full-matrix simplex."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsens import (OutputDistribution, emd,
                      inclusion_probability_lower_bound, mask_of,
                      sym_diff_cost, tv_distance)
 from subsens.transport import (InfeasibleMarginalsError,
-                               SupportCapExceededError)
+                               SupportCapExceededError, _network_simplex)
 
 from _oracles import bruteforce_emd
 
@@ -248,3 +250,171 @@ def test_extreme_mass_ratio_cascade_shape():
     value, plan = emd(d1, d2)
     assert plan.certificate_ok()
     assert 0.0 <= value <= 10.0
+
+
+def test_emd_accepts_gap_explained_by_lost_mass():
+    d1 = dist(3, 1, {0b001: 0.5, 0b010: 0.5 - 4e-7}, lost_mass=4e-7)
+    d2 = dist(3, 1, {0b001: 0.25, 0b100: 0.75})
+    value, plan = emd(d1, d2)
+    assert plan.mass_gap == pytest.approx(-4e-7, abs=1e-15)
+    assert plan.certificate_ok()
+    assert value == pytest.approx(1.5, abs=1e-6)
+
+
+def test_pruned_scan_completes_within_lost_mass():
+    from subsens import (FunctionSpec, build_function, exact_output_distribution,
+                         proportional_greedy_rule, restrict, worst_case_sensitivity)
+    f = build_function(FunctionSpec("prop_lb", n=12))
+    rule = proportional_greedy_rule()
+    k = 5
+    pruned = worst_case_sensitivity(rule, f, k, p_min=1e-6, alg_name="proportional")
+    fine = worst_case_sensitivity(rule, f, k, p_min=1e-13, alg_name="proportional")
+    base_lost = exact_output_distribution(rule, f, k, p_min=1e-6).lost_mass
+    assert base_lost > 0
+    for r, ref in zip(pruned.per_element, fine.per_element):
+        assert r.element == ref.element
+        assert 0.0 <= r.emd <= 2 * k
+        red = restrict(f, r.element)
+        lost = base_lost + exact_output_distribution(rule, red, k, p_min=1e-6).lost_mass
+        assert abs(r.emd - ref.emd) <= 4 * k * lost + 1e-9
+
+
+# --- difference solve vs brute force and the plain full-matrix path ----------
+
+
+def _recheck_plan(d1, d2, value, plan, tol=1e-9):
+    """Marginals, dual feasibility on every pair and strong duality,
+    recomputed from the plan without the solver's own residuals."""
+    assert plan.sources == sorted(d1.probs)
+    assert plan.targets == sorted(d2.probs)
+    out_mass, in_mass, primal = {}, {}, 0.0
+    for s, t, m in plan.entries:
+        assert m >= 0
+        out_mass[s] = out_mass.get(s, 0.0) + m
+        in_mass[t] = in_mass.get(t, 0.0) + m
+        primal += m * (s ^ t).bit_count()
+    for s, p in d1.probs.items():
+        assert out_mass.get(s, 0.0) == pytest.approx(p, abs=tol)
+    for t, q in d2.probs.items():
+        assert in_mass.get(t, 0.0) == pytest.approx(q, abs=tol)
+    u, v = plan.potentials_source, plan.potentials_target
+    for i, s in enumerate(plan.sources):
+        for j, t in enumerate(plan.targets):
+            assert u[i] + v[j] <= (s ^ t).bit_count() + 1e-9
+    dual = (sum(u[i] * d1.probs[s] for i, s in enumerate(plan.sources))
+            + sum(v[j] * d2.probs[t] for j, t in enumerate(plan.targets)))
+    assert dual == pytest.approx(value, abs=1e-7)
+    assert primal == pytest.approx(value, abs=1e-9)
+
+
+_TRIPLES = [m for m in range(1 << 6) if m.bit_count() == 3]
+
+
+def _normalized(masks, weights, total=1.0):
+    scale = total / sum(weights)
+    return {m: w * scale for m, w in zip(masks, weights)}
+
+
+@st.composite
+def _shared_support_pairs(draw):
+    """(kind, p, q) over 3-subsets of 6 elements with at most 4 sets each."""
+    kind = draw(st.sampled_from(["identical", "nested", "disjoint", "partial",
+                                 "equal_shared"]))
+    pool = draw(st.permutations(_TRIPLES))
+
+    def weights(size):
+        return draw(st.lists(st.integers(1, 20), min_size=size, max_size=size))
+
+    if kind == "identical":
+        masks = pool[:draw(st.integers(1, 4))]
+        p = _normalized(masks, weights(len(masks)))
+        return kind, p, dict(p)
+    if kind == "equal_shared":
+        h = draw(st.integers(1, 3))
+        x = draw(st.integers(1, 4 - h))
+        y = draw(st.integers(1, 4 - h))
+        shared, only1, only2 = pool[:h], pool[h:h + x], pool[h + x:h + x + y]
+        w = weights(h + x)
+        p = _normalized(shared + only1, w)
+        rest = 1.0 - sum(p[m] for m in shared)
+        q = {m: p[m] for m in shared}
+        q.update(_normalized(only2, weights(y), rest))
+        return kind, p, q
+    r = draw(st.integers(1, 4))
+    if kind == "nested":
+        r = max(r, 2)
+        s1, s2 = pool[:r], pool[:draw(st.integers(1, r - 1))]
+    elif kind == "disjoint":
+        s1, s2 = pool[:r], pool[r:r + draw(st.integers(1, 4))]
+    else:
+        r = max(r, 2)
+        overlap = draw(st.integers(1, r - 1))
+        s1 = pool[:r]
+        s2 = pool[r - overlap:r - overlap + draw(st.integers(overlap + 1, 4))]
+    return kind, _normalized(s1, weights(len(s1))), _normalized(s2, weights(len(s2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_shared_support_pairs())
+def test_difference_solve_matches_bruteforce_on_shared_supports(case):
+    kind, p, q = case
+    d1, d2 = dist(6, 3, p), dist(6, 3, q)
+    value, plan = emd(d1, d2)
+    ref = bruteforce_emd([p[s] for s in d1.support()], [q[t] for t in d2.support()],
+                         [[(s ^ t).bit_count() for t in d2.support()]
+                          for s in d1.support()])
+    assert value == pytest.approx(ref, abs=1e-9)
+    _recheck_plan(d1, d2, value, plan)
+    if kind == "identical":
+        assert (plan.reduced_rows, plan.reduced_cols, plan.pivots) == (0, 0, 0)
+        assert value == 0.0
+    # only sets with p > q (rows) or q > p (columns) are transported, plus
+    # at most one set where the float residue of the total masses lands
+    assert plan.reduced_rows <= sum(1 for s in p if p[s] > q.get(s, 0.0)) + 1
+    assert plan.reduced_cols <= sum(1 for t in q if q[t] > p.get(t, 0.0)) + 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_multiword_masks_match_bruteforce(seed):
+    # n > 64 takes several uint64 words per mask in the cost matrix
+    rng = np.random.default_rng(seed)
+    n = 150
+    masks = set()
+    while len(masks) < 6:
+        masks.add(int(sum(1 << int(e) for e in rng.choice(n, size=4, replace=False))))
+    masks = sorted(masks)
+    p = _normalized(masks[:3], list(rng.integers(1, 10, size=3)))
+    q = _normalized(masks[2:5], list(rng.integers(1, 10, size=3)))
+    d1, d2 = dist(n, 4, p), dist(n, 4, q)
+    value, plan = emd(d1, d2)
+    ref = bruteforce_emd(list(p.values()), list(q.values()),
+                         [[(s ^ t).bit_count() for t in q] for s in p])
+    assert value == pytest.approx(ref, abs=1e-9)
+    _recheck_plan(d1, d2, value, plan)
+
+
+def _plain_emd(d1, d2):
+    """_network_simplex run directly on the full r x c matrix, no cancelling."""
+    sources, targets = d1.support(), d2.support()
+    a = np.array([d1.probs[m] for m in sources])
+    b = np.array([d2.probs[m] for m in targets])
+    b[int(np.argmax(b))] += a.sum() - b.sum()
+    cost = np.array([[float((s ^ t).bit_count()) for t in targets] for s in sources])
+    basis, flows, _, _, _ = _network_simplex(a, b, cost)
+    return sum(f * cost[i, j] for (i, j), f in zip(basis, flows))
+
+
+def test_difference_solve_matches_plain_path_on_greedi_lb():
+    from subsens import (FunctionSpec, build_function, exact_output_distribution,
+                         proportional_greedy_rule, restrict)
+    f = build_function(FunctionSpec("greedi_lb", n=10, c=0.5))
+    rule = proportional_greedy_rule()
+    base = exact_output_distribution(rule, f, 4)
+    for e in range(f.n):
+        red = restrict(f, e)
+        d2 = exact_output_distribution(rule, red, 4).remapped(red.index_map, f.n)
+        value, plan = emd(base, d2)
+        assert abs(value - _plain_emd(base, d2)) <= 1e-9
+        assert plan.reduced_rows < len(plan.sources)
+        _recheck_plan(base, d2, value, plan)
