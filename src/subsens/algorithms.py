@@ -10,7 +10,7 @@ scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -54,14 +54,22 @@ class RunTrace:
         return [s.element for s in self.steps]
 
 
-def _candidates(oracle: ValueOracle, current: int, allowed: Optional[int]) -> list[int]:
+def _marginals(oracle: ValueOracle, current: int,
+               allowed: Optional[int]) -> tuple[list[int], list[float]]:
+    """Candidates outside ``current`` (within ``allowed``) in ascending id
+    order and their marginal gains, one oracle call per block: each block's
+    gain is copied to all of its candidates."""
     pool = (allowed if allowed is not None else oracle.full_mask) & ~current
-    return ids_of(pool)
-
-
-def _marginals(oracle: ValueOracle, current: int, cands: Sequence[int]) -> list[float]:
-    base = oracle.value(current)
-    return [oracle.value(current | (1 << e)) - base for e in cands]
+    cands, margs = [], []
+    for e, gain, members in oracle.block_gains(current, pool):
+        if members & (members - 1):
+            ids = ids_of(members)
+            cands += ids
+            margs += [gain] * len(ids)
+        else:
+            cands.append(e)
+            margs.append(gain)
+    return cands, margs
 
 
 class DecisionRule:
@@ -84,10 +92,9 @@ class GreedyRule(DecisionRule):
     name = "greedy"
 
     def probabilities(self, oracle, current, k, allowed=None):
-        cands = _candidates(oracle, current, allowed)
+        cands, margs = _marginals(oracle, current, allowed)
         if not cands:
             raise KOutOfRangeError("no candidates left")
-        margs = _marginals(oracle, current, cands)
         best = max(range(len(cands)), key=lambda i: (margs[i], -cands[i]))
         probs = np.zeros(oracle.n)
         probs[cands[best]] = 1.0
@@ -105,10 +112,9 @@ class RandomizedGreedyRule(DecisionRule):
     name = "randgreedy"
 
     def probabilities(self, oracle, current, k, allowed=None):
-        cands = _candidates(oracle, current, allowed)
+        cands, margs = _marginals(oracle, current, allowed)
         if not cands:
             raise KOutOfRangeError("no candidates left")
-        margs = _marginals(oracle, current, cands)
         order = sorted(range(len(cands)), key=lambda i: (-margs[i], cands[i]))
         top = order[:min(k, len(cands))]
         probs = np.zeros(oracle.n)
@@ -124,10 +130,9 @@ class ProportionalGreedyRule(DecisionRule):
     name = "proportional"
 
     def probabilities(self, oracle, current, k, allowed=None):
-        cands = _candidates(oracle, current, allowed)
+        cands, margs = _marginals(oracle, current, allowed)
         if not cands:
             raise KOutOfRangeError("no candidates left")
-        margs = _marginals(oracle, current, cands)
         neg = min(margs)
         if neg < -1e-9:
             raise NegativeMarginalError(
@@ -199,8 +204,7 @@ class OrdinalSchedule:
 
 def _sorted_by_marginal(oracle: ValueOracle, current: int,
                         allowed: Optional[int]) -> tuple[list[int], list[float]]:
-    cands = _candidates(oracle, current, allowed)
-    margs = _marginals(oracle, current, cands)
+    cands, margs = _marginals(oracle, current, allowed)
     order = sorted(range(len(cands)), key=lambda i: (-margs[i], cands[i]))
     return [cands[i] for i in order], [margs[i] for i in order]
 
@@ -227,20 +231,18 @@ def _check_k(oracle: ValueOracle, k: int, allowed: Optional[int]):
 
 def deterministic_greedy(oracle: ValueOracle, k: int,
                          allowed: Optional[int] = None) -> tuple[int, RunTrace]:
-    """Argmax-marginal greedy; ties broken by lowest element id."""
+    """Argmax-marginal greedy; ties broken by lowest element id.
+
+    Scans one representative per block (its lowest remaining id): members
+    of a block share their gain, so the first strict maximum in id order is
+    the same element the per-element scan picks."""
     steps = _check_k(oracle, k, allowed)
     pool = allowed if allowed is not None else oracle.full_mask
     current = 0
     records = []
     for i in range(1, steps + 1):
-        base = oracle.value(current)
         best_e, best_m = -1, None
-        rem = pool & ~current
-        while rem:
-            b = rem & -rem
-            rem ^= b
-            e = b.bit_length() - 1
-            m = oracle.value(current | b) - base
+        for e, m, _ in oracle.block_gains(current, pool & ~current):
             if best_m is None or m > best_m:
                 best_e, best_m = e, m
         current |= 1 << best_e

@@ -86,9 +86,13 @@ class OutputDistribution:
         return OutputDistribution(n, self.k, remapped, self.mode, self.trials, self.lost_mass)
 
     def to_csv(self) -> str:
+        """One row per support set; a pruned distribution ends with a
+        ``lost_mass,<mass>`` row (unpruned ones have none)."""
         lines = ["set_bitmask_hex,probability"]
         for mask in sorted(self.probs):
             lines.append(f"{mask:#x},{self.probs[mask]!r}")
+        if self.lost_mass > 0:
+            lines.append(f"lost_mass,{self.lost_mass!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -98,11 +102,15 @@ class OutputDistribution:
         if not lines or lines[0] != "set_bitmask_hex,probability":
             raise ValueError("not an OutputDistribution CSV")
         probs = {}
+        lost = 0.0
         for ln in lines[1:]:
             mask_hex, _, p = ln.partition(",")
-            probs[int(mask_hex, 16)] = float(p)
+            if mask_hex == "lost_mass":
+                lost = float(p)
+            else:
+                probs[int(mask_hex, 16)] = float(p)
         k = max((m.bit_count() for m in probs), default=0)
-        return cls(n, k, probs, mode=mode, trials=trials)
+        return cls(n, k, probs, mode=mode, trials=trials, lost_mass=lost)
 
 
 def _step_support(alg: Algorithm, oracle: ValueOracle, current: int, step: int,

@@ -98,10 +98,8 @@ class DistTrace:
 def _partition(n: int, machines: int, rng: np.random.Generator) -> list[int]:
     """iid-uniform machine assignment; returns one shard mask per machine."""
     assignment = rng.integers(0, machines, size=n)
-    shards = [0] * machines
-    for e in range(n):
-        shards[int(assignment[e])] |= 1 << e
-    return shards
+    return [int.from_bytes(np.packbits(assignment == i, bitorder="little").tobytes(), "little")
+            for i in range(machines)]
 
 
 def _run_base(base: BaseAlgorithm, oracle: ValueOracle, k: int, allowed: int,

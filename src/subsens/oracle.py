@@ -5,6 +5,18 @@ Subsets are plain Python ints used as bitmasks over element ids 0..n-1.
 Families with separation-constant cascades (``prop_lb``, ``avg_prop_lb``)
 use exact integer weights so that structural checks are exact even when
 the top constant is ~1e22.
+
+Interchangeable-element blocks: a ``ValueOracle`` may carry ``blocks``,
+disjoint masks that cover the ground set, such that f is invariant under
+every permutation inside a block.  Every element of a block outside S then
+has a bit-identical marginal gain at S, and ``ValueOracle.block_gains``
+makes one oracle call per block that meets the candidate pool instead of
+one per candidate.  Families whose value depends only on per-block counts
+and a few flag elements declare their blocks in ``build_function``;
+``restrict`` carries them through a deletion.  Blocks are kept as runs of
+consecutive ids, so gains come out in id order and greedy's lowest-id tie
+rule picks what a per-element scan picks.  An oracle without blocks treats
+every element as its own block, so its calls are unchanged.
 """
 
 from __future__ import annotations
@@ -100,14 +112,18 @@ class ValueOracle:
     Instances are immutable after construction apart from the query tally;
     evaluation must be deterministic and pure.  ``index_map`` maps local ids
     to the ids of the original ground set after restrictions (None means
-    identity).
+    identity).  ``blocks`` (None means every element is its own block) are
+    disjoint masks covering the ground set under whose internal
+    permutations f is invariant; they are stored as runs of consecutive
+    ids in ascending order.
     """
 
-    __slots__ = ("n", "name", "_fn", "calls", "index_map", "meta")
+    __slots__ = ("n", "name", "_fn", "calls", "index_map", "meta", "blocks")
 
     def __init__(self, n: int, fn: Callable[[int], float], name: str = "",
                  index_map: Optional[tuple[int, ...]] = None,
-                 meta: Optional[dict] = None, check_empty: bool = True):
+                 meta: Optional[dict] = None, check_empty: bool = True,
+                 blocks: Optional[Iterable[int]] = None):
         if n < 1:
             raise InconsistentDimensionsError(f"oracle needs n >= 1, got {n}")
         if index_map is not None and len(index_map) != n:
@@ -118,6 +134,7 @@ class ValueOracle:
         self.calls = 0
         self.index_map = index_map
         self.meta = dict(meta) if meta else {}
+        self.blocks = None if blocks is None else _check_blocks(n, blocks)
         if check_empty:
             v0 = fn(0)
             if v0 != 0:
@@ -145,6 +162,33 @@ class ValueOracle:
             raise ElementInSetError(f"element {e} already in set")
         return self.value(mask | bit) - self.value(mask)
 
+    def block_gains(self, current: int, rem: int) -> list[tuple[int, float, int]]:
+        """Marginal gains at ``current`` for the candidates in ``rem``, one
+        oracle call per block that meets ``rem``.
+
+        Returns (lowest id, gain, members) triples, where members =
+        block & rem all share that gain; ids ascend within and across the
+        triples.  ``rem`` must not meet ``current``; an empty ``rem`` costs
+        no call.
+        """
+        if not rem:
+            return []
+        value = self.value
+        base = value(current)
+        out = []
+        if self.blocks is None:
+            while rem:
+                b = rem & -rem
+                rem ^= b
+                out.append((b.bit_length() - 1, value(current | b) - base, b))
+            return out
+        for block in self.blocks:
+            members = block & rem
+            if members:
+                b = members & -members
+                out.append((b.bit_length() - 1, value(current | b) - base, members))
+        return out
+
     def to_original_ids(self, mask: int) -> int:
         """Translate a local-id mask into original ground-set ids."""
         if self.index_map is None:
@@ -156,6 +200,32 @@ class ValueOracle:
 
     def __repr__(self):
         return f"ValueOracle(n={self.n}, name={self.name!r}, calls={self.calls})"
+
+
+def _check_blocks(n: int, blocks: Iterable[int]) -> tuple[int, ...]:
+    """Validate a block partition of 0..n-1 and store it as runs of
+    consecutive ids in ascending order.
+
+    f stays invariant inside each run, and every id of a run precedes every
+    id of the next one, so gains and their members come out in id order.
+    """
+    runs = []
+    seen = 0
+    for block in blocks:
+        if block < 0 or block >> n:
+            raise InconsistentDimensionsError(f"block {block:#x} has bits beyond n={n}")
+        if block & seen:
+            raise InconsistentDimensionsError(f"block {block:#x} overlaps another block")
+        seen |= block
+        while block:
+            run = block & ~(block + (block & -block))
+            runs.append(run)
+            block ^= run
+    if seen != (1 << n) - 1:
+        raise InconsistentDimensionsError(
+            f"blocks miss elements {ids_of(((1 << n) - 1) & ~seen)}")
+    runs.sort()
+    return tuple(runs)
 
 
 def marginal(oracle: ValueOracle, mask: int, e: int) -> float:
@@ -182,8 +252,12 @@ def restrict(oracle: ValueOracle, e: int) -> ValueOracle:
 
     base_map = oracle.index_map or tuple(range(n))
     new_map = base_map[:e] + base_map[e + 1:]
+    blocks = None
+    if oracle.blocks is not None:
+        blocks = [((b >> (e + 1)) << e) | (b & low) for b in oracle.blocks]
     return ValueOracle(n - 1, restricted, name=f"{oracle.name}\\{base_map[e]}",
-                       index_map=new_map, meta=oracle.meta, check_empty=False)
+                       index_map=new_map, meta=oracle.meta, check_empty=False,
+                       blocks=blocks)
 
 
 def curvature(oracle: ValueOracle) -> float:
@@ -430,7 +504,7 @@ def _build_modular(spec: FunctionSpec):
     def fn(mask: int) -> float:
         return _weight_sum(mask, weights)
 
-    return n, fn, {"weights": tuple(weights)}
+    return n, fn, {"weights": tuple(weights)}, None
 
 
 def _build_prop_lb(spec: FunctionSpec):
@@ -461,8 +535,9 @@ def _build_prop_lb(spec: FunctionSpec):
         total += (mask & c_mask).bit_count()
         return total
 
+    cascade = [1 << i for i in range(half, n)]
     return n, fn, {"weights": tuple(weights), "ratio": r,
-                   "first_block": _block(0, half), "second_block": b_mask}
+                   "first_block": _block(0, half), "second_block": b_mask}, [1, c_mask, *cascade]
 
 
 def _build_randgreedy_lb(spec: FunctionSpec):
@@ -481,7 +556,7 @@ def _build_randgreedy_lb(spec: FunctionSpec):
             total += (mask & mid).bit_count()
         return total + 0.5 * (mask & tail).bit_count()
 
-    return n, fn, {"scale": scale, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "mid": mid, "tail": tail}, [1, mid, tail]
 
 
 def _build_curvature_det_lb(spec: FunctionSpec):
@@ -501,7 +576,7 @@ def _build_curvature_det_lb(spec: FunctionSpec):
         return (scale * x1 + (1.0 - c * x1) * (mask & mid).bit_count()
                 + (1.0 - c / 2.0) * (mask & tail).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, [1, mid, tail]
 
 
 def _build_curvature_rand_lb(spec: FunctionSpec):
@@ -521,7 +596,7 @@ def _build_curvature_rand_lb(spec: FunctionSpec):
         return (scale * x1 + (1.0 - c * x1) * (mask & mid).bit_count()
                 + (1.0 - c / 2.0) * (mask & tail).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, [1, mid, tail]
 
 
 def _build_large_element(spec: FunctionSpec):
@@ -536,7 +611,7 @@ def _build_large_element(spec: FunctionSpec):
     def fn(mask: int) -> float:
         return (mask & head).bit_count() + eps * (mask & tail).bit_count()
 
-    return n, fn, {"eps": eps, "head": head, "tail": tail}
+    return n, fn, {"eps": eps, "head": head, "tail": tail}, [head, tail]
 
 
 def _build_near_equality(spec: FunctionSpec):
@@ -572,7 +647,8 @@ def _build_near_equality(spec: FunctionSpec):
                 + eps * (mask & rest).bit_count())
 
     return n, fn, {"c": c, "eps": eps, "j": j, "i_max": i_max,
-                   "pre": pre, "mid": mid, "shadow": shadow, "rest": rest}
+                   "pre": pre, "mid": mid, "shadow": shadow, "rest": rest}, \
+        [pre, jbit, mid, shadow, rest]
 
 
 def _build_greedi_lb(spec: FunctionSpec):
@@ -590,7 +666,7 @@ def _build_greedi_lb(spec: FunctionSpec):
         return (scale * x1 + (1.0 - c * x1) * (mask & mid).bit_count()
                 + (1.0 - c / 2.0) * (mask & tail).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, [1, mid, tail]
 
 
 def _build_framework_lb(spec: FunctionSpec):
@@ -615,7 +691,8 @@ def _build_framework_lb(spec: FunctionSpec):
                 + (1.0 - c * xj) * (mask & mid).bit_count()
                 + (1.0 - c / 2.0) * (mask & tail).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "j": j, "head": head, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "c": c, "j": j, "head": head, "mid": mid, "tail": tail}, \
+        [head & ~jbit, jbit, mid, tail]
 
 
 def _build_appendixD_lb(spec: FunctionSpec):
@@ -644,7 +721,8 @@ def _build_appendixD_lb(spec: FunctionSpec):
                 + b_weight * (mask & b_mask).bit_count())
 
     return total, fn, {"scale": m_scale, "c": c, "alpha": alpha,
-                       "n_a": n_a, "n_b": n_b, "a_mask": a_mask, "b_mask": b_mask}
+                       "n_a": n_a, "n_b": n_b, "a_mask": a_mask, "b_mask": b_mask}, \
+        [1, a_mask, b_mask]
 
 
 def _prefix_len(spec: FunctionSpec) -> int:
@@ -687,7 +765,7 @@ def _build_avg_prop_lb(spec: FunctionSpec):
         return total
 
     return n, fn, {"weights": tuple(weights), "ratio": r, "prefix": prefix,
-                   "b_mask": b_mask, "c_mask": c_mask, "m": m}
+                   "b_mask": b_mask, "c_mask": c_mask, "m": m}, None
 
 
 def _build_avg_randgreedy_lb(spec: FunctionSpec):
@@ -710,7 +788,8 @@ def _build_avg_randgreedy_lb(spec: FunctionSpec):
             total += (mask & mid).bit_count()
         return total + 0.5 * (mask & tail).bit_count()
 
-    return n, fn, {"scale": scale, "prefix": prefix, "mid": mid, "tail": tail, "m": m}
+    return n, fn, {"scale": scale, "prefix": prefix, "mid": mid, "tail": tail, "m": m}, \
+        [prefix, mid, tail]
 
 
 def _build_avg_curvature_lb(spec: FunctionSpec):
@@ -740,7 +819,8 @@ def _build_avg_curvature_lb(spec: FunctionSpec):
                 + eps * (mask & rest).bit_count())
 
     return n, fn, {"c": c, "eps": eps, "m": m, "i_max": i_max,
-                   "prefix": prefix, "mid": mid, "shadow": shadow, "rest": rest}
+                   "prefix": prefix, "mid": mid, "shadow": shadow, "rest": rest}, \
+        [prefix, mid, shadow, rest]
 
 
 def _build_avg_greedi_lb(spec: FunctionSpec):
@@ -763,7 +843,8 @@ def _build_avg_greedi_lb(spec: FunctionSpec):
         return (scale * (mask & prefix).bit_count() + mid_w * (mask & mid).bit_count()
                 + (1.0 - c / 2.0) * (mask & tail).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "m": m, "prefix": prefix, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "c": c, "m": m, "prefix": prefix, "mid": mid, "tail": tail}, \
+        [prefix, mid, tail]
 
 
 def _build_avg_framework_lb(spec: FunctionSpec):
@@ -786,7 +867,8 @@ def _build_avg_framework_lb(spec: FunctionSpec):
         return (scale * (mask & prefix).bit_count() + mid_w * (mask & mid).bit_count()
                 + (1.0 - c / 2.0) * (mask & tail).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "prefix": prefix, "mid": mid, "tail": tail}
+    return n, fn, {"scale": scale, "c": c, "prefix": prefix, "mid": mid, "tail": tail}, \
+        [prefix, mid, tail]
 
 
 _FAMILIES = {
@@ -813,7 +895,13 @@ def family_names() -> tuple[str, ...]:
 
 
 def build_function(spec: FunctionSpec) -> ValueOracle:
-    """Instantiate a function family as a ValueOracle with f(empty) = 0."""
+    """Instantiate a function family as a ValueOracle with f(empty) = 0.
+
+    Builders return (n, fn, meta, blocks); blocks is None when every element
+    must stay its own block.  ``modular`` and ``avg_prop_lb`` sum float or
+    cascade weights element by element, so two elements with equal weights
+    are not guaranteed bit-identical gains and they declare no blocks.
+    """
     try:
         builder = _FAMILIES[spec.family]
     except KeyError:
@@ -821,14 +909,15 @@ def build_function(spec: FunctionSpec) -> ValueOracle:
             f"unknown family {spec.family!r}; known: {', '.join(family_names())}") from None
     if spec.n < 1:
         raise InconsistentDimensionsError(f"n must be >= 1, got {spec.n}")
-    n, fn, meta = builder(spec)
+    n, fn, meta, blocks = builder(spec)
     meta["spec"] = spec
     label_bits = [spec.family, f"n={spec.n}"]
     if spec.k is not None:
         label_bits.append(f"k={spec.k}")
     if spec.c is not None:
         label_bits.append(f"c={spec.c:g}")
-    return ValueOracle(n, fn, name="[" + ",".join(label_bits) + "]", meta=meta)
+    return ValueOracle(n, fn, name="[" + ",".join(label_bits) + "]", meta=meta,
+                       blocks=blocks)
 
 
 def shipped_default_specs(n: int = 12) -> list[FunctionSpec]:

@@ -141,30 +141,37 @@ def _sampled_with_key(alg, oracle, k, trials, seed_key) -> OutputDistribution:
 
     Uses inverse-CDF draws from the per-step probability vectors; this is
     distributionally identical to the sequential runners but avoids per-step
-    generator construction in the trial loop.
+    generator construction in the trial loop.  The rule is evaluated once
+    per distinct current set (the step index is its size plus one): its
+    output and cumulative sums are kept for the rest of the call.
     """
     from .algorithms import OrdinalSchedule, schedule_step_support
     is_schedule = isinstance(alg, OrdinalSchedule)
     steps = min(k, oracle.n)
     counts: dict[int, int] = {}
+    step_cache: dict[int, object] = {}
     for t in range(trials):
         rng = derive_rng(*seed_key, t)
         draws = rng.random(steps)
         current = 0
         for i in range(1, steps + 1):
             x = draws[i - 1]
+            cached = step_cache.get(current)
             if is_schedule:
-                support = schedule_step_support(alg, oracle, current, i)
+                if cached is None:
+                    cached = step_cache[current] = schedule_step_support(alg, oracle, current, i)
                 acc = 0.0
-                chosen = support[-1][0]
-                for e, q, _ in support:
+                chosen = cached[-1][0]
+                for e, q, _ in cached:
                     acc += q
                     if x < acc:
                         chosen = e
                         break
             else:
-                probs = alg.probabilities(oracle, current, k)
-                cum = np.cumsum(probs)
+                if cached is None:
+                    probs = alg.probabilities(oracle, current, k)
+                    cached = step_cache[current] = (probs, np.cumsum(probs))
+                probs, cum = cached
                 chosen = int(np.searchsorted(cum, x * cum[-1], side="right"))
                 while chosen < oracle.n - 1 and probs[chosen] == 0.0:
                     chosen += 1

@@ -180,6 +180,19 @@ def test_distribution_csv_round_trip():
     assert again.probs == d.probs
 
 
+def test_pruned_distribution_csv_round_trip_keeps_lost_mass():
+    f = build_function(FunctionSpec("prop_lb", n=12))
+    d = exact_output_distribution(proportional_greedy_rule(), f, 5, p_min=1e-6)
+    assert d.lost_mass > 0
+    text = d.to_csv()
+    assert text.splitlines()[-1] == f"lost_mass,{d.lost_mass!r}"
+    again = OutputDistribution.from_csv(text, n=12)
+    assert again.probs == d.probs and again.lost_mass == d.lost_mass
+    assert again.k == 5
+    unpruned = exact_output_distribution(proportional_greedy_rule(), f, 2)
+    assert "lost_mass" not in unpruned.to_csv()
+
+
 def test_profile_csv_shape():
     f = modular(3, 2, 1)
     prof = selection_profile(randomized_greedy_rule(), f, 2)

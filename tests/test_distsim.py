@@ -69,6 +69,17 @@ def test_partition_covers_ground_set_exactly():
     assert total == 50
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1024])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_partition_matches_per_element_assignment(n, m):
+    for t in range(3):
+        assignment = derive_rng(5, n, m, t).integers(0, m, size=n)
+        expected = [0] * m
+        for e in range(n):
+            expected[int(assignment[e])] |= 1 << e
+        assert _partition(n, m, derive_rng(5, n, m, t)) == expected
+
+
 def test_heavy_machine_gets_enough_tail_elements():
     # balls-in-bins step behind the distributed hardness argument: the
     # machine holding the heavy element also receives at least k-1 elements

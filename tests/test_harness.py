@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from subsens import FunctionSpec, build_function, exact_output_distribution, greedy_rule
+from subsens import (FunctionSpec, build_function, emd, exact_output_distribution,
+                     greedy_rule, proportional_greedy_rule, restrict)
 from subsens.harness import (ConfigParseError, UnknownSuiteError, SUITES,
                              main, parse_config, parse_schedule, run_experiment,
                              run_suite, RUN_CSV_HEADER)
@@ -168,6 +169,22 @@ def test_cli_emd_identical_and_point_masses(tmp_path, capsys):
     assert main(["emd", a, b, "--n", "6", "--plan", plan_path]) == 0
     assert "emd = 4.0" in capsys.readouterr().out
     assert os.path.exists(plan_path)
+
+
+def test_cli_emd_pruned_distributions(tmp_path, capsys):
+    # pruning drops different mass from the two runs; the CSVs must carry
+    # lost_mass so the mass gap is accepted as it is in memory
+    f = build_function(FunctionSpec("prop_lb", n=12))
+    rule = proportional_greedy_rule()
+    d1 = exact_output_distribution(rule, f, 5, p_min=1e-6)
+    reduced = restrict(f, 0)
+    d2 = exact_output_distribution(rule, reduced, 5, p_min=1e-6).remapped(
+        reduced.index_map, 12)
+    value, _ = emd(d1, d2)
+    p1 = write(tmp_path, "base.csv", d1.to_csv())
+    p2 = write(tmp_path, "minus0.csv", d2.to_csv())
+    assert main(["emd", p1, p2, "--n", "12"]) == 0
+    assert f"emd = {value!r}\n" in capsys.readouterr().out
 
 
 def test_cli_emd_ground_size_mismatch(tmp_path, capsys):

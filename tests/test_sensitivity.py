@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from subsens import (FunctionSpec, attach_bounds, average_sensitivity,
@@ -11,8 +12,9 @@ from subsens import (FunctionSpec, attach_bounds, average_sensitivity,
                      build_function, greedy_rule,
                      proportional_greedy_rule, randomized_greedy_rule,
                      worst_case_sensitivity)
+from subsens.algorithms import OrdinalSchedule, derive_rng, schedule_step_support
 from subsens.sensitivity import (DegenerateDError, SensitivityReport,
-                                 LB_CONSTANT_NOTE)
+                                 LB_CONSTANT_NOTE, _sampled_with_key)
 
 
 def modular(*weights):
@@ -163,6 +165,64 @@ def test_sampled_mode_deterministic():
                                 elements=[0, 1], bootstrap=0)
     assert [(r.element, r.emd) for r in r1.per_element] == \
            [(r.element, r.emd) for r in r2.per_element]
+
+
+class SpyRule:
+    """Proportional greedy that records every set it is evaluated at."""
+
+    name = "spy"
+
+    def __init__(self):
+        self.inner = proportional_greedy_rule()
+        self.seen = []
+
+    def probabilities(self, oracle, current, k, allowed=None):
+        self.seen.append(current)
+        return self.inner.probabilities(oracle, current, k, allowed)
+
+
+def plain_sampled_counts(alg, oracle, k, trials, seed_key):
+    """Per-trial inverse-CDF loop that evaluates the rule at every step."""
+    counts, visited = {}, set()
+    for t in range(trials):
+        draws = derive_rng(*seed_key, t).random(k)
+        current = 0
+        for i in range(1, k + 1):
+            visited.add(current)
+            x = draws[i - 1]
+            if isinstance(alg, OrdinalSchedule):
+                support = schedule_step_support(alg, oracle, current, i)
+                acc, chosen = 0.0, support[-1][0]
+                for e, q, _ in support:
+                    acc += q
+                    if x < acc:
+                        chosen = e
+                        break
+            else:
+                probs = alg.probabilities(oracle, current, k)
+                cum = np.cumsum(probs)
+                chosen = int(np.searchsorted(cum, x * cum[-1], side="right"))
+                while chosen < oracle.n - 1 and probs[chosen] == 0.0:
+                    chosen += 1
+            current |= 1 << chosen
+        counts[current] = counts.get(current, 0) + 1
+    return {m: c / trials for m, c in counts.items()}, visited
+
+
+@pytest.mark.parametrize("spec", [FunctionSpec("appendixD_lb", n=12, c=0.75),
+                                  FunctionSpec("modular", n=7, weights=(5, 4, 4, 3, 2, 1, 1))])
+def test_sampled_evaluates_rule_once_per_state(spec):
+    f = build_function(spec)
+    k, trials, key = 3, 400, (3, 1, 0)
+    spy = SpyRule()
+    dist = _sampled_with_key(spy, f, k, trials, key)
+    expected, visited = plain_sampled_counts(proportional_greedy_rule(), f, k, trials, key)
+    assert len(spy.seen) == len(set(spy.seen)) <= len(visited)
+    assert set(spy.seen) == visited
+    assert dist.probs == expected
+    schedule = OrdinalSchedule.randomized_greedy(k)
+    expected, _ = plain_sampled_counts(schedule, f, k, trials, key)
+    assert _sampled_with_key(schedule, f, k, trials, key).probs == expected
 
 
 # --- report mechanics -------------------------------------------------------
