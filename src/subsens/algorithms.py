@@ -73,16 +73,17 @@ def _marginals(oracle: ValueOracle, current: int,
 
 
 class DecisionRule:
-    """Maps (oracle, current set) to a probability vector over E \\ S.
+    """Maps (oracle, current set) to a distribution over E \\ S.
 
-    ``probabilities`` returns a dense vector of length n; entries on S (and
-    outside ``allowed``) are zero and the rest sum to 1 within 1e-12.
+    ``probabilities`` returns the sparse support as (element, probability)
+    pairs in ascending id order, each probability > 0, summing to 1 within
+    1e-12; elements of S and outside ``allowed`` never appear.
     """
 
     name = "rule"
 
     def probabilities(self, oracle: ValueOracle, current: int, k: int,
-                      allowed: Optional[int] = None) -> np.ndarray:
+                      allowed: Optional[int] = None) -> list[tuple[int, float]]:
         raise NotImplementedError
 
 
@@ -96,9 +97,7 @@ class GreedyRule(DecisionRule):
         if not cands:
             raise KOutOfRangeError("no candidates left")
         best = max(range(len(cands)), key=lambda i: (margs[i], -cands[i]))
-        probs = np.zeros(oracle.n)
-        probs[cands[best]] = 1.0
-        return probs
+        return [(cands[best], 1.0)]
 
 
 class RandomizedGreedyRule(DecisionRule):
@@ -116,11 +115,8 @@ class RandomizedGreedyRule(DecisionRule):
         if not cands:
             raise KOutOfRangeError("no candidates left")
         order = sorted(range(len(cands)), key=lambda i: (-margs[i], cands[i]))
-        top = order[:min(k, len(cands))]
-        probs = np.zeros(oracle.n)
-        for i in top:
-            probs[cands[i]] = 1.0 / len(top)
-        return probs
+        top = sorted(order[:min(k, len(cands))])
+        return [(cands[i], 1.0 / len(top)) for i in top]
 
 
 class ProportionalGreedyRule(DecisionRule):
@@ -138,15 +134,9 @@ class ProportionalGreedyRule(DecisionRule):
             raise NegativeMarginalError(
                 f"marginal {neg} < 0 at set {current:#x}; oracle not monotone")
         total = sum(m for m in margs if m > 0)
-        probs = np.zeros(oracle.n)
         if total <= 0:
-            for e in cands:
-                probs[e] = 1.0 / len(cands)
-        else:
-            for e, m in zip(cands, margs):
-                if m > 0:
-                    probs[e] = m / total
-        return probs
+            return [(e, 1.0 / len(cands)) for e in cands]
+        return [(e, m / total) for e, m in zip(cands, margs) if m > 0]
 
 
 def greedy_rule() -> DecisionRule:
@@ -263,7 +253,11 @@ def run_sequential(oracle: ValueOracle, k: int, rule: DecisionRule, seed: int,
     current = 0
     records = []
     for i in range(1, steps + 1):
-        probs = rule.probabilities(oracle, current, k, allowed)
+        # draw over all n ids, as the streams were defined: the dense sum
+        # need not equal the sum of the pairs bit for bit
+        probs = np.zeros(oracle.n)
+        for e, p in rule.probabilities(oracle, current, k, allowed):
+            probs[e] = p
         s = probs.sum()
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"rule probabilities sum to {s}")

@@ -115,57 +115,66 @@ class OutputDistribution:
 
 def _step_support(alg: Algorithm, oracle: ValueOracle, current: int, step: int,
                   k: int, allowed: Optional[int]) -> list[tuple[int, float]]:
-    """Nonzero (element, probability) pairs for one step, deterministic order."""
+    """(element, probability) pairs for one step, ascending id, each > 0."""
     if isinstance(alg, OrdinalSchedule):
-        support = schedule_step_support(alg, oracle, current, step, allowed)
-        merged: dict[int, float] = {}
-        for e, q, _ in support:
-            merged[e] = merged.get(e, 0.0) + q
-        return sorted(merged.items())
-    probs = alg.probabilities(oracle, current, k, allowed)
-    return [(int(e), float(probs[e])) for e in np.flatnonzero(probs)]
+        return sorted((e, q) for e, q, _ in
+                      schedule_step_support(alg, oracle, current, step, allowed))
+    return alg.probabilities(oracle, current, k, allowed)
 
 
-def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
-                              node_budget: int = DEFAULT_NODE_BUDGET,
-                              p_min: float = 0.0, start_mask: int = 0,
-                              branch_order: str = "asc",
-                              allowed: Optional[int] = None) -> OutputDistribution:
-    """Enumerate the output distribution exactly (up to float accumulation).
+def _level_dp(alg: Algorithm, oracle: ValueOracle, k: int, node_budget: int,
+              p_min: float, start_mask: int, allowed: Optional[int],
+              profile: Optional[np.ndarray] = None) -> tuple[int, dict[int, float], float]:
+    """Forward DP over the unordered current set, one level per step.
 
-    ``p_min`` > 0 prunes branches whose path probability falls below it; the
-    dropped mass is reported in ``lost_mass``.  ``start_mask`` conditions the
-    run on a forced initial set; k more elements are then selected.
-    ``branch_order`` only changes the accumulation order (canonicalization
-    check hook).
+    Runs min(k, |pool minus start_mask|) steps and returns (steps, final
+    level, pruned mass).  When ``profile`` is given, row i-1 accumulates
+    the mass of every step-i branch, pruned ones included.
     """
     GroundSet(oracle.n).require_exact()
-    steps = min(k, oracle.n - start_mask.bit_count())
+    pool = allowed if allowed is not None else oracle.full_mask
+    steps = min(k, (pool & ~start_mask).bit_count())
     level = {start_mask: 1.0}
     budget = node_budget
     lost = 0.0
     for step in range(1, steps + 1):
-        nxt: dict[int, float] = {}
-        for current in sorted(level):
-            q = level[current]
+        # hold the finished level as two flat lists, not a hash table,
+        # while the next one grows: it takes a fraction of the memory
+        currents = sorted(level)
+        masses = [level[c] for c in currents]
+        level = {}
+        for current, q in zip(currents, masses):
             pairs = _step_support(alg, oracle, current, step, k, allowed)
-            if branch_order == "desc":
-                pairs = list(reversed(pairs))
             budget -= len(pairs)
             if budget < 0:
                 raise NodeBudgetExceededError(
                     f"node budget {node_budget} exhausted at step {step}; "
                     "use sampled_output_distribution")
             for e, p in pairs:
-                if p <= 0.0:
-                    continue
                 mass = q * p
-                if p_min > 0.0 and mass < p_min:
+                if profile is not None:
+                    profile[step - 1, e] += mass
+                if mass < p_min:
                     lost += mass
                     continue
                 key = current | (1 << e)
-                nxt[key] = nxt.get(key, 0.0) + mass
-        level = nxt
+                level[key] = level.get(key, 0.0) + mass
+    return steps, level, lost
+
+
+def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
+                              node_budget: int = DEFAULT_NODE_BUDGET,
+                              p_min: float = 0.0, start_mask: int = 0,
+                              allowed: Optional[int] = None) -> OutputDistribution:
+    """Enumerate the output distribution exactly (up to float accumulation).
+
+    ``p_min`` > 0 prunes branches whose path probability falls below it; the
+    dropped mass is reported in ``lost_mass``.  ``start_mask`` conditions the
+    run on a forced initial set; k more elements (or all that ``allowed``
+    leaves) are then selected.
+    """
+    steps, level, lost = _level_dp(alg, oracle, k, node_budget, p_min,
+                                   start_mask, allowed)
     dist = OutputDistribution(oracle.n, steps + start_mask.bit_count(), level,
                               mode="exact", lost_mass=lost)
     return dist.validate()
@@ -188,9 +197,9 @@ def sampled_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int,
                                      allowed=allowed, seed_key=(seed, t))
         counts[mask] = counts.get(mask, 0) + 1
     probs = {mask: c / trials for mask, c in counts.items()}
-    k_eff = min(k, oracle.n)
-    return OutputDistribution(oracle.n, k_eff, probs, mode="empirical",
-                              trials=trials).validate()
+    pool = allowed if allowed is not None else oracle.full_mask
+    return OutputDistribution(oracle.n, min(k, pool.bit_count()), probs,
+                              mode="empirical", trials=trials).validate()
 
 
 @dataclass
@@ -227,30 +236,9 @@ def selection_profile(alg: Algorithm, oracle: ValueOracle, k: int, *,
                       p_min: float = 0.0,
                       allowed: Optional[int] = None) -> SelectionProfile:
     """p_i(e) = sum over reach-probability-weighted per-step rule masses."""
-    GroundSet(oracle.n).require_exact()
-    steps = min(k, oracle.n)
-    p = np.zeros((steps, oracle.n))
-    level = {0: 1.0}
-    budget = node_budget
-    lost = 0.0
-    for step in range(1, steps + 1):
-        nxt: dict[int, float] = {}
-        for current in sorted(level):
-            q = level[current]
-            pairs = _step_support(alg, oracle, current, step, k, allowed)
-            budget -= len(pairs)
-            if budget < 0:
-                raise NodeBudgetExceededError(f"node budget {node_budget} exhausted")
-            for e, pr in pairs:
-                if pr <= 0.0:
-                    continue
-                mass = q * pr
-                p[step - 1, e] += mass
-                if p_min > 0.0 and mass < p_min:
-                    lost += mass
-                    continue
-                key = current | (1 << e)
-                nxt[key] = nxt.get(key, 0.0) + mass
-        level = nxt
+    p = np.zeros((min(k, oracle.n), oracle.n))
+    steps, _, lost = _level_dp(alg, oracle, k, node_budget, p_min, 0, allowed,
+                               profile=p)
+    p = p[:steps]
     prof = SelectionProfile(oracle.n, steps, p, np.cumsum(p, axis=0), lost_mass=lost)
     return prof.validate()

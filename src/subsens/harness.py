@@ -8,7 +8,7 @@ bytes exactly.
 
 CLI verbs: run, reproduce, emd, list-suites, check-function.
 Exit codes: 0 ok, 1 usage/config error, 2 enumeration budget exhausted.
-Env: SENS_THREADS caps worker threads.
+No environment variable changes what runs.
 """
 
 from __future__ import annotations
@@ -183,20 +183,10 @@ def _run_point(cfg: ExperimentConfig, n, c) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[str]:
-    """Execute a config and return CSV lines; sweep points run in a thread
-    pool capped by SENS_THREADS, rows stay in config order."""
-    points = list(itertools.product(cfg.sweep_n or (None,), cfg.sweep_c or (None,)))
-    try:
-        workers = max(1, int(os.environ.get("SENS_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    if workers > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda p: _run_point(cfg, *p), points))
-    else:
-        rows = [_run_point(cfg, n, c) for n, c in points]
-    return [RUN_CSV_HEADER] + rows
+    """Execute a config and return CSV lines: the header, then one row per
+    sweep point (n major, c minor), computed in order."""
+    points = itertools.product(cfg.sweep_n or (None,), cfg.sweep_c or (None,))
+    return [RUN_CSV_HEADER] + [_run_point(cfg, n, c) for n, c in points]
 
 
 def _try_curvature(oracle: ValueOracle) -> Optional[float]:

@@ -10,17 +10,15 @@ deleted element simply never appears in the restricted run's support.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import derive_rng
+from .algorithms import OrdinalSchedule, derive_rng, schedule_step_support
 from .distributions import (Algorithm, OutputDistribution,
                             exact_output_distribution, DEFAULT_NODE_BUDGET)
-from .oracle import ValueOracle, restrict
+from .oracle import InvalidElementError, ValueOracle, restrict
 from .transport import emd, inclusion_probability_lower_bound
 
 
@@ -116,14 +114,6 @@ class SensitivityReport:
         return {"rows": rows, "summary": summary}
 
 
-def _threads() -> int:
-    raw = os.environ.get("SENS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _distribution(alg, oracle, k, mode, trials, seed_tag,
                   p_min, node_budget) -> OutputDistribution:
     if mode == "exact":
@@ -139,43 +129,36 @@ def _distribution(alg, oracle, k, mode, trials, seed_tag,
 def _sampled_with_key(alg, oracle, k, trials, seed_key) -> OutputDistribution:
     """Empirical distribution over `trials` runs, one substream per trial.
 
-    Uses inverse-CDF draws from the per-step probability vectors; this is
+    Uses inverse-CDF draws from the per-step supports; this is
     distributionally identical to the sequential runners but avoids per-step
-    generator construction in the trial loop.  The rule is evaluated once
-    per distinct current set (the step index is its size plus one): its
-    output and cumulative sums are kept for the rest of the call.
+    generator construction in the trial loop.  The algorithm is evaluated
+    once per distinct current set (the step index is its size plus one):
+    its support's elements, cumulative sums and draw scale are kept for the
+    rest of the call.  A rule's cumulative sums are rescaled by their total;
+    a schedule's are walked in rank order against the raw draw, and a draw
+    past the last sum takes the last element.
     """
-    from .algorithms import OrdinalSchedule, schedule_step_support
     is_schedule = isinstance(alg, OrdinalSchedule)
     steps = min(k, oracle.n)
     counts: dict[int, int] = {}
-    step_cache: dict[int, object] = {}
+    step_cache: dict[int, tuple] = {}
     for t in range(trials):
-        rng = derive_rng(*seed_key, t)
-        draws = rng.random(steps)
+        draws = derive_rng(*seed_key, t).random(steps)
         current = 0
-        for i in range(1, steps + 1):
-            x = draws[i - 1]
+        for i in range(steps):
             cached = step_cache.get(current)
-            if is_schedule:
-                if cached is None:
-                    cached = step_cache[current] = schedule_step_support(alg, oracle, current, i)
-                acc = 0.0
-                chosen = cached[-1][0]
-                for e, q, _ in cached:
-                    acc += q
-                    if x < acc:
-                        chosen = e
-                        break
-            else:
-                if cached is None:
-                    probs = alg.probabilities(oracle, current, k)
-                    cached = step_cache[current] = (probs, np.cumsum(probs))
-                probs, cum = cached
-                chosen = int(np.searchsorted(cum, x * cum[-1], side="right"))
-                while chosen < oracle.n - 1 and probs[chosen] == 0.0:
-                    chosen += 1
-            current |= 1 << chosen
+            if cached is None:
+                if is_schedule:
+                    pairs = [(e, q) for e, q, _ in
+                             schedule_step_support(alg, oracle, current, i + 1)]
+                else:
+                    pairs = alg.probabilities(oracle, current, k)
+                cum = np.cumsum([p for _, p in pairs])
+                cached = step_cache[current] = (
+                    [e for e, _ in pairs], cum, 1.0 if is_schedule else cum[-1])
+            elements, cum, scale = cached
+            idx = int(cum.searchsorted(draws[i] * scale, side="right"))
+            current |= 1 << elements[min(idx, len(elements) - 1)]
         counts[current] = counts.get(current, 0) + 1
     probs_out = {m: c / trials for m, c in counts.items()}
     return OutputDistribution(oracle.n, steps, probs_out,
@@ -228,17 +211,9 @@ def _sensitivity_scan(alg, oracle, k, mode, seed, trials, elements, p_min,
         elements = list(range(oracle.n))
     base = _distribution(alg, oracle, k, mode, trials, (seed, 0),
                          p_min, node_budget)
-    workers = _threads()
-    if workers > 1 and len(elements) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda e: _measure_element(alg, oracle, k, e, base, mode, trials,
-                                           seed, p_min, node_budget, bootstrap),
-                elements))
-    else:
-        results = [_measure_element(alg, oracle, k, e, base, mode, trials,
-                                    seed, p_min, node_budget, bootstrap)
-                   for e in elements]
+    results = [_measure_element(alg, oracle, k, e, base, mode, trials,
+                                seed, p_min, node_budget, bootstrap)
+               for e in elements]
     results.sort(key=lambda r: r.element)
     report = SensitivityReport(
         algorithm=alg_name or getattr(alg, "name", type(alg).__name__),
@@ -257,7 +232,17 @@ def worst_case_sensitivity(alg: Algorithm, oracle: ValueOracle, k: int,
                            bootstrap: int = 200,
                            alg_name: str = "") -> SensitivityReport:
     """max_e EMD(A(f), A(f minus e)); restrict ``elements`` to scan a known
-    witness set (the reported max is then a lower bound on the true max)."""
+    witness set (the reported max is then a lower bound on the true max).
+    ``elements`` must be nonempty, distinct ids of the ground set."""
+    if elements is not None:
+        if not elements:
+            raise ValueError("elements is empty")
+        if len(set(elements)) != len(elements):
+            raise ValueError(f"duplicate elements in {list(elements)}")
+        bad = [e for e in elements if not 0 <= e < oracle.n]
+        if bad:
+            raise InvalidElementError(
+                f"elements {bad} outside ground set of size {oracle.n}")
     return _sensitivity_scan(alg, oracle, k, mode, seed, trials, elements,
                              p_min, node_budget, bootstrap, "worst_case", alg_name)
 

@@ -67,6 +67,31 @@ def _solve_tree(a, b, arcs, r, c):
     return flows
 
 
+def ordered_selection_enumeration(n, steps, step_probs, start=0):
+    """Set distribution and per-step selection profile of a sequential
+    sampler, by walking every ordered selection sequence on its own (no
+    merging of sequences that reach the same set).
+
+    ``step_probs(current, step)`` gives the (element, probability) pairs of
+    step ``step`` (1-based) from the bitmask ``current``.  Returns
+    ({final mask: probability}, profile) where profile[i][e] is the
+    probability of selecting e at step i + 1.
+    """
+    dist = {}
+    profile = [[0.0] * n for _ in range(steps)]
+
+    def walk(current, step, mass):
+        if step > steps:
+            dist[current] = dist.get(current, 0.0) + mass
+            return
+        for e, p in step_probs(current, step):
+            profile[step - 1][e] += mass * p
+            walk(current | (1 << e), step + 1, mass * p)
+
+    walk(start, 1, 1.0)
+    return dist, profile
+
+
 def exhaustive_opt(oracle, k):
     """Best value over all subsets of size <= k, by full enumeration."""
     n = oracle.n

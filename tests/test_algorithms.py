@@ -66,43 +66,46 @@ def test_k_out_of_range():
 def test_randgreedy_uniform_over_top_k():
     f = modular(3, 2, 1)
     p = randomized_greedy_rule().probabilities(f, 0, 3)
-    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3])
+    assert [e for e, _ in p] == [0, 1, 2]
+    assert np.allclose([q for _, q in p], [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_randgreedy_first_step_on_hard_instance():
     f = build_function(FunctionSpec("randgreedy_lb", n=16, k=3))
     p = randomized_greedy_rule().probabilities(f, 0, 3)
-    # heavy element plus the two lowest-id unit elements
-    assert p[0] == pytest.approx(1 / 3)
-    assert p[1] == pytest.approx(1 / 3)
-    assert p[2] == pytest.approx(1 / 3)
-    assert p[3:].sum() == 0
+    # heavy element plus the two lowest-id unit elements, nothing else
+    assert [e for e, _ in p] == [0, 1, 2]
+    assert [q for _, q in p] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
 def test_randgreedy_pads_when_pool_smaller_than_k():
     f = modular(3, 2, 1)
     p = randomized_greedy_rule().probabilities(f, mask_of([0]), 5)
-    assert np.allclose(p, [0, 0.5, 0.5])
+    assert [e for e, _ in p] == [1, 2]
+    assert np.allclose([q for _, q in p], [0.5, 0.5])
 
 
 def test_proportional_rule_direct_proportion():
     f = modular(3, 1)
     p = proportional_greedy_rule().probabilities(f, 0, 2)
-    assert np.allclose(p, [0.75, 0.25])
+    assert [e for e, _ in p] == [0, 1]
+    assert np.allclose([q for _, q in p], [0.75, 0.25])
 
 
 def test_proportional_rule_uniform_on_equal_marginals():
     f = modular(2, 2, 2, 2)
     p = proportional_greedy_rule().probabilities(f, 0, 4)
-    assert np.allclose(p, 0.25)
+    assert [e for e, _ in p] == [0, 1, 2, 3]
+    assert np.allclose([q for _, q in p], 0.25)
 
 
 def test_proportional_rule_on_appendixD_after_heavy():
     c = 0.75
     f = build_function(FunctionSpec("appendixD_lb", n=12, c=c))
     n_a, n_b = f.meta["n_a"], f.meta["n_b"]
-    p = proportional_greedy_rule().probabilities(f, mask_of([0]), 2)
+    p = dict(proportional_greedy_rule().probabilities(f, mask_of([0]), 2))
     total = n_a * 1.0 + n_b * (1 - c)
+    assert sorted(p) == list(range(1, 13))
     for e in range(1 + n_a, 13):
         assert p[e] == pytest.approx((1 - c) / total)
 
@@ -110,7 +113,8 @@ def test_proportional_rule_on_appendixD_after_heavy():
 def test_proportional_rule_zero_marginals_fallback():
     f = ValueOracle(4, lambda m: min(1, m.bit_count()) * 1.0, name="any-one")
     p = proportional_greedy_rule().probabilities(f, mask_of([2]), 2)
-    assert np.allclose(p, [1 / 3, 1 / 3, 0, 1 / 3])
+    assert [e for e, _ in p] == [0, 1, 3]
+    assert np.allclose([q for _, q in p], [1 / 3, 1 / 3, 1 / 3])
 
 
 def test_proportional_rule_rejects_nonmonotone():
@@ -124,9 +128,11 @@ def test_rule_vectors_are_probability_vectors():
     for rule in (greedy_rule(), randomized_greedy_rule(), proportional_greedy_rule()):
         for current in (0, 0b1, 0b1010, 0b1111):
             p = rule.probabilities(f, current, 3)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
-            for e in ids_of(current):
-                assert p[e] == 0.0
+            ids = [e for e, _ in p]
+            assert ids == sorted(set(ids))
+            assert all(q > 0 for _, q in p)
+            assert sum(q for _, q in p) == pytest.approx(1.0, abs=1e-12)
+            assert not set(ids) & set(ids_of(current))
 
 
 # --- run_sequential ---------------------------------------------------------
@@ -247,4 +253,5 @@ def test_scaling_invariance():
     for rule in (randomized_greedy_rule(), proportional_greedy_rule()):
         p1 = rule.probabilities(f, 0b1, 3)
         p2 = rule.probabilities(scaled, 0b1, 3)
-        assert np.allclose(p1, p2, atol=1e-12)
+        assert [e for e, _ in p1] == [e for e, _ in p2]
+        assert np.allclose([q for _, q in p1], [q for _, q in p2], atol=1e-12)

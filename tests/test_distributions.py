@@ -8,9 +8,13 @@ import pytest
 from subsens import (FunctionSpec, OrdinalSchedule, build_function,
                      exact_output_distribution, greedy_rule,
                      proportional_greedy_rule, randomized_greedy_rule,
-                     sampled_output_distribution, selection_profile,
+                     run_sequential, sampled_output_distribution,
+                     selection_profile, shipped_default_specs,
                      deterministic_greedy, tv_distance)
+from subsens.algorithms import schedule_step_support
 from subsens.distributions import NodeBudgetExceededError, OutputDistribution
+
+from _oracles import ordered_selection_enumeration
 
 
 def modular(*weights):
@@ -72,13 +76,49 @@ def test_exact_distribution_validates():
     assert all(m.bit_count() == 2 for m in d.probs)
 
 
-def test_branch_order_canonicalization():
-    f = build_function(FunctionSpec("randgreedy_lb", n=12, k=3))
-    d1 = exact_output_distribution(randomized_greedy_rule(), f, 3, branch_order="asc")
-    d2 = exact_output_distribution(randomized_greedy_rule(), f, 3, branch_order="desc")
-    assert set(d1.probs) == set(d2.probs)
-    for m in d1.probs:
-        assert d1.probs[m] == pytest.approx(d2.probs[m], abs=1e-12)
+ENUM_SPECS = [s for s in shipped_default_specs(8) if s.n <= 8]
+ENUM_ALGORITHMS = {"greedy": greedy_rule(), "randgreedy": randomized_greedy_rule(),
+                   "proportional": proportional_greedy_rule(),
+                   "schedule": OrdinalSchedule.randomized_greedy(3)}
+
+
+def step_probs(alg, oracle, k):
+    if isinstance(alg, OrdinalSchedule):
+        return lambda current, step: [
+            (e, q) for e, q, _ in schedule_step_support(alg, oracle, current, step)]
+    return lambda current, step: alg.probabilities(oracle, current, k)
+
+
+@pytest.mark.parametrize("name", ENUM_ALGORITHMS)
+@pytest.mark.parametrize("spec", ENUM_SPECS, ids=lambda s: s.family)
+def test_level_dp_matches_ordered_enumeration(spec, name):
+    alg, k = ENUM_ALGORITHMS[name], 3
+    f = build_function(spec)
+    walk = step_probs(alg, f, k)
+    for start in (0, 0b1, 0b100):
+        expected, profile = ordered_selection_enumeration(f.n, k, walk, start)
+        d = exact_output_distribution(alg, f, k, start_mask=start)
+        assert d.k == k + start.bit_count()
+        assert sorted(d.probs) == sorted(expected)
+        for mask, p in expected.items():
+            assert d.probs[mask] == pytest.approx(p, rel=0, abs=1e-12)
+        if start == 0:
+            prof = selection_profile(alg, f, k)
+            assert np.allclose(prof.p, profile, rtol=0, atol=1e-12)
+
+
+def test_pool_smaller_than_k_selects_the_whole_pool():
+    f = modular(5, 4, 3, 2, 1)
+    allowed = 0b00110
+    for rule in (greedy_rule(), randomized_greedy_rule(), proportional_greedy_rule()):
+        mask, trace = run_sequential(f, 3, rule, seed=0, allowed=allowed)
+        assert mask == allowed and len(trace.steps) == 2
+        d = exact_output_distribution(rule, f, 3, allowed=allowed)
+        assert list(d.probs) == [allowed] and d.k == 2
+        prof = selection_profile(rule, f, 3, allowed=allowed)
+        assert prof.k == 2 and prof.P[-1].tolist() == pytest.approx([0, 1, 1, 0, 0])
+        d = sampled_output_distribution(rule, f, 3, trials=20, seed=1, allowed=allowed)
+        assert d.probs == {allowed: 1.0} and d.k == 2
 
 
 def test_start_mask_conditions_the_run():

@@ -13,6 +13,7 @@ from subsens import (FunctionSpec, attach_bounds, average_sensitivity,
                      proportional_greedy_rule, randomized_greedy_rule,
                      worst_case_sensitivity)
 from subsens.algorithms import OrdinalSchedule, derive_rng, schedule_step_support
+from subsens.oracle import InvalidElementError
 from subsens.sensitivity import (DegenerateDError, SensitivityReport,
                                  LB_CONSTANT_NOTE, _sampled_with_key)
 
@@ -182,7 +183,9 @@ class SpyRule:
 
 
 def plain_sampled_counts(alg, oracle, k, trials, seed_key):
-    """Per-trial inverse-CDF loop that evaluates the rule at every step."""
+    """Per-trial inverse-CDF loop that evaluates the rule at every step,
+    drawing from the rule's support scattered into a dense length-n vector
+    and skipping zero entries after the search."""
     counts, visited = {}, set()
     for t in range(trials):
         draws = derive_rng(*seed_key, t).random(k)
@@ -199,7 +202,9 @@ def plain_sampled_counts(alg, oracle, k, trials, seed_key):
                         chosen = e
                         break
             else:
-                probs = alg.probabilities(oracle, current, k)
+                probs = np.zeros(oracle.n)
+                for e, p in alg.probabilities(oracle, current, k):
+                    probs[e] = p
                 cum = np.cumsum(probs)
                 chosen = int(np.searchsorted(cum, x * cum[-1], side="right"))
                 while chosen < oracle.n - 1 and probs[chosen] == 0.0:
@@ -225,6 +230,18 @@ def test_sampled_evaluates_rule_once_per_state(spec):
     assert _sampled_with_key(schedule, f, k, trials, key).probs == expected
 
 
+@pytest.mark.parametrize("elements, error", [([], ValueError),
+                                             ([1, 2, 1], ValueError),
+                                             ([0, 8], InvalidElementError),
+                                             ([-1], InvalidElementError)])
+def test_bad_elements_rejected_before_any_work(elements, error):
+    f = build_function(FunctionSpec("greedi_lb", n=8, c=0.5))
+    spy = SpyRule()
+    with pytest.raises(error):
+        worst_case_sensitivity(spy, f, 2, elements=elements)
+    assert spy.seen == []
+
+
 # --- report mechanics -------------------------------------------------------
 
 
@@ -246,13 +263,3 @@ def test_attach_bounds_flags_constant_discrepancy():
     attach_bounds(report, 0.5, 2)
     assert LB_CONSTANT_NOTE in report.notes
     assert report.bounds["pass"] in ("yes", "no")
-
-
-def test_threads_env_parallel_scan_matches_serial(monkeypatch):
-    f = build_function(FunctionSpec("greedi_lb", n=10, c=0.5))
-    rule = proportional_greedy_rule()
-    serial = worst_case_sensitivity(rule, f, 3)
-    monkeypatch.setenv("SENS_THREADS", "4")
-    parallel = worst_case_sensitivity(rule, f, 3)
-    assert [(r.element, r.emd) for r in serial.per_element] == \
-           [(r.element, r.emd) for r in parallel.per_element]
