@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algorithms import (DecisionRule, OrdinalSchedule,
+from .algorithms import (DecisionRule, OrdinalSchedule, _check_k,
                          independent_sequential, run_sequential,
                          schedule_step_support)
 from .oracle import ValueOracle, GroundSet
@@ -132,6 +132,7 @@ def _level_dp(alg: Algorithm, oracle: ValueOracle, k: int, node_budget: int,
     the mass of every step-i branch, pruned ones included.
     """
     GroundSet(oracle.n).require_exact()
+    _check_k(oracle, k, allowed)
     pool = allowed if allowed is not None else oracle.full_mask
     steps = min(k, (pool & ~start_mask).bit_count())
     level = {start_mask: 1.0}
@@ -171,7 +172,8 @@ def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
     ``p_min`` > 0 prunes branches whose path probability falls below it; the
     dropped mass is reported in ``lost_mass``.  ``start_mask`` conditions the
     run on a forced initial set; k more elements (or all that ``allowed``
-    leaves) are then selected.
+    leaves) are then selected.  k outside 1..n raises ``KOutOfRangeError``,
+    as in ``run_sequential``.
     """
     steps, level, lost = _level_dp(alg, oracle, k, node_budget, p_min,
                                    start_mask, allowed)

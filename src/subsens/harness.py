@@ -736,7 +736,8 @@ def _cmd_emd(args) -> int:
     print(f"emd = {value!r}")
     print(f"support = {len(plan.sources)}x{len(plan.targets)}, "
           f"reduced = {plan.reduced_rows}x{plan.reduced_cols}, "
-          f"pivots = {plan.pivots}, mass_gap = {plan.mass_gap!r}")
+          f"pivots = {plan.pivots} ({plan.bland_pivots} under Bland's rule), "
+          f"mass_gap = {plan.mass_gap!r}")
     print(f"certificate: reduced_cost = {plan.max_negative_reduced_cost!r}, "
           f"marginal = {plan.max_marginal_residual!r}, "
           f"slackness = {plan.max_slackness_violation!r}")

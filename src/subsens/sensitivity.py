@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import OrdinalSchedule, derive_rng, schedule_step_support
+from .algorithms import (OrdinalSchedule, _check_k, derive_rng,
+                         schedule_step_support)
 from .distributions import (Algorithm, OutputDistribution,
                             exact_output_distribution, DEFAULT_NODE_BUDGET)
 from .oracle import InvalidElementError, ValueOracle, restrict
@@ -139,7 +140,7 @@ def _sampled_with_key(alg, oracle, k, trials, seed_key) -> OutputDistribution:
     past the last sum takes the last element.
     """
     is_schedule = isinstance(alg, OrdinalSchedule)
-    steps = min(k, oracle.n)
+    steps = _check_k(oracle, k, None)
     counts: dict[int, int] = {}
     step_cache: dict[int, tuple] = {}
     for t in range(trials):
@@ -190,11 +191,14 @@ def _bootstrap_halfwidth(d1: OutputDistribution, d2: OutputDistribution,
 def _measure_element(alg, oracle, k, e, base_dist, mode, trials, seed,
                      p_min, node_budget, bootstrap) -> ElementSensitivity:
     reduced = restrict(oracle, e)
+    # at k = n only n - 1 elements remain: the run selects all of them, as
+    # a run does when its ``allowed`` pool is smaller than k
+    k_reduced = min(k, reduced.n)
     if mode == "exact":
-        d2 = exact_output_distribution(alg, reduced, k, p_min=p_min,
+        d2 = exact_output_distribution(alg, reduced, k_reduced, p_min=p_min,
                                        node_budget=node_budget)
     else:
-        d2 = _sampled_with_key(alg, reduced, k, trials, (seed, 1, e))
+        d2 = _sampled_with_key(alg, reduced, k_reduced, trials, (seed, 1, e))
     d2 = d2.remapped(reduced.index_map, oracle.n)
     value, _ = emd(base_dist, d2)
     value = float(value)

@@ -12,7 +12,9 @@ masks' 64-bit words.
 The solver is a transportation-specialized network simplex.  Entering arcs
 are chosen by most-negative reduced cost; if the objective stalls on
 degenerate pivots the solver switches to Bland's rule until it makes
-progress, which guarantees termination.
+progress, which guarantees termination, and the plan counts those pivots.
+The basis is kept as a spanning tree rooted at one node with parent
+pointers, so a pivot walks only its cycle and the subtree it detaches.
 
 The reduced dual is extended to every set by the c-transform
 phi(x) = min_j (|x △ t_j| - v_j) over the transported columns: sources get
@@ -71,13 +73,24 @@ def inclusion_probability_lower_bound(d1: OutputDistribution,
     return float(np.abs(d1.inclusion_probabilities() - d2.inclusion_probabilities()).sum())
 
 
+class PivotCount(int):
+    """A pivot total that also carries ``bland``, how many of those pivots
+    were taken under Bland's rule."""
+
+    def __new__(cls, total: int, bland: int = 0):
+        count = super().__new__(cls, total)
+        count.bland = bland
+        return count
+
+
 @dataclass
 class TransportPlan:
     """Optimal coupling between two subset distributions.
 
     ``mass_gap`` is sum(p) - sum(q) before balancing; ``reduced_rows`` and
     ``reduced_cols`` are the supports left to transport after cancelling
-    the shared mass.
+    the shared mass; ``bland_pivots`` counts the pivots taken under Bland's
+    rule after a degenerate stall.
     """
 
     sources: list[int]               # support masks, row order
@@ -91,6 +104,7 @@ class TransportPlan:
     max_marginal_residual: float = 0.0
     max_slackness_violation: float = 0.0
     pivots: int = 0
+    bland_pivots: int = 0
     mass_gap: float = 0.0
     reduced_rows: int = 0
     reduced_cols: int = 0
@@ -171,11 +185,21 @@ def _leastcost_initial(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
 
 
 def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Transportation simplex with tree-maintained potentials.
+    """Transportation simplex with potentials kept on a rooted spanning tree.
 
     Entering arc: most negative reduced cost, switching to Bland's rule
     (first negative, row-major) after a run of degenerate pivots.  Leaving
     arc on ties: lexicographically smallest, which keeps Bland's guarantee.
+
+    The basis tree is rooted at row node 0 with parent pointers (Ahuja,
+    Magnanti & Orlin, *Network Flows*, 1993, ch. 11).  A pivot finds its
+    cycle by stamping the ancestors of the entering row and climbing from
+    the entering column to the first stamped node, walks only the subtree
+    below the leaving arc, shifts the potentials of whichever side holds
+    the entering column, and re-hangs the subtree from the entering arc.
+
+    Returns (basis, flows, u, v, pivots); ``pivots`` is a ``PivotCount``
+    whose ``bland`` attribute counts the pivots taken under Bland's rule.
     """
     r, c = cost.shape
     n_nodes = r + c
@@ -188,6 +212,8 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     # node potentials [u, -v], so that a subtree shift is one indexed
     # update; computed from scratch once, maintained incrementally afterwards
     pot = np.zeros(n_nodes)
+    parent = [-1] * n_nodes
+    parent_arc = [-1] * n_nodes
     seen = [False] * n_nodes
     seen[0] = True
     reached = 1
@@ -199,6 +225,8 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
                 continue
             seen[nb] = True
             reached += 1
+            parent[nb] = node
+            parent_arc[nb] = idx
             i, j = basis[idx]
             if nb >= r:
                 pot[nb] = pot[i] - cost[i, j]
@@ -214,11 +242,12 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     bi = np.array([i for i, _ in basis], dtype=np.intp)
     bj = np.array([j for _, j in basis], dtype=np.intp)
     rc = np.empty_like(cost)
+    stamp = [0] * n_nodes
+    outside = np.empty(n_nodes, dtype=bool)
     stall = 0
     bland = False
-    pivots = 0
+    pivots = bland_pivots = 0
     max_pivots = 200 * n_nodes * max(r, c) + 1000
-    parent_arc = [0] * n_nodes
     while True:
         np.subtract(cost, u[:, None], out=rc)
         rc += neg_v[None, :]
@@ -235,29 +264,30 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
                 break
         rc_enter = float(rc[ei, ej])
         pivots += 1
+        if bland:
+            bland_pivots += 1
         if pivots > max_pivots:
             raise RuntimeError("network simplex failed to converge")
 
-        # unique tree path from row node ei to col node r+ej
+        # the cycle: row ei climbs to the join of the two root paths, then
+        # the path descends to col node r+ej; arcs listed from ei
         goal = r + ej
-        parent = [-1] * n_nodes
-        parent[ei] = ei
-        stack = [ei]
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                break
-            for nb, idx in adj[node].items():
-                if parent[nb] < 0:
-                    parent[nb] = node
-                    parent_arc[nb] = idx
-                    stack.append(nb)
-        path = []
+        node = ei
+        while node >= 0:
+            stamp[node] = pivots
+            node = parent[node]
+        down = []
         node = goal
-        while node != ei:
+        while stamp[node] != pivots:
+            down.append(parent_arc[node])
+            node = parent[node]
+        join = node
+        path = []
+        node = ei
+        while node != join:
             path.append(parent_arc[node])
             node = parent[node]
-        path.reverse()
+        path.extend(reversed(down))
 
         # pushing theta on the entering arc drains the first path arc at row
         # ei, refills the next, and so on: even walk positions lose flow
@@ -278,18 +308,35 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         bi[leave] = ei
         bj[leave] = ej
         flows[leave] = theta
-        # re-root: the component now containing col ej (after removing the
-        # leaving arc) shifts potentials by the entering reduced cost
-        comp = [goal]
-        mark = {goal}
-        for node in comp:
+        # the subtree below the leaving arc, which is now detached
+        child = li if parent_arc[li] == leave else r + lj
+        sub = [child]
+        for node in sub:
             for nb in adj[node]:
-                if nb not in mark:
-                    mark.add(nb)
-                    comp.append(nb)
-        pot[comp] -= rc_enter
+                if nb != parent[node]:
+                    sub.append(nb)
+        # the side holding col ej shifts by the entering reduced cost;
+        # shifting the other side by +rc_enter agrees only in exact arithmetic
+        # (a child on ei's side of the cycle carries this pivot's stamp)
+        goal_below = stamp[child] != pivots
+        if goal_below:
+            pot[sub] -= rc_enter
+        else:
+            outside.fill(True)
+            outside[sub] = False
+            pot[outside] -= rc_enter
         adj[ei][goal] = leave
         adj[goal][ei] = leave
+        # re-hang the subtree from the entering arc: reverse the parent
+        # pointers from its endpoint inside the subtree up to the old child
+        node, prev = (goal, ei) if goal_below else (ei, goal)
+        prev_arc = leave
+        while True:
+            up_node, up_arc = parent[node], parent_arc[node]
+            parent[node], parent_arc[node] = prev, prev_arc
+            if node == child:
+                break
+            prev, prev_arc, node = node, up_arc, up_node
 
         if theta <= PIVOT_TOL:
             stall += 1
@@ -298,7 +345,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         else:
             stall = 0
             bland = False
-    return basis, flows, u, -neg_v, pivots
+    return basis, flows, u, -neg_v, PivotCount(pivots, bland_pivots)
 
 
 def emd(d1: OutputDistribution, d2: OutputDistribution, *,
@@ -348,7 +395,7 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
 
     u = np.zeros(len(sources))
     v = np.zeros(len(targets))
-    basis, flows, pivots = [], [], 0
+    basis, flows, pivots = [], [], PivotCount(0)
     if len(rows) and len(cols):
         ar = np.array([excess_a[i] for i in rows])
         br = np.array([excess_b[j] for j in cols])
@@ -397,7 +444,8 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
         max_marginal_residual=float(max(np.abs(row_sums - a).max(),
                                         np.abs(col_sums - b).max())),
         max_slackness_violation=float(slack),
-        pivots=pivots, mass_gap=gap,
+        pivots=int(pivots), bland_pivots=pivots.bland,
+        mass_gap=gap,
         reduced_rows=len(rows), reduced_cols=len(cols),
     )
     plan.cost_rational = _rational_cost(d1, d2, entries)
@@ -421,10 +469,10 @@ def _rational_cost(d1, d2, entries) -> Optional[Fraction]:
     if not d1.trials or d1.trials != d2.trials:
         return None
     t = d1.trials
-    total = Fraction(0)
+    total = 0
     for s, tgt, f in entries:
         count = round(f * t)
         if abs(f * t - count) > 1e-6:
             return None
-        total += Fraction(count, t) * sym_diff_cost(s, tgt)
-    return total
+        total += count * sym_diff_cost(s, tgt)
+    return Fraction(total, t)

@@ -160,15 +160,28 @@ def test_cli_emd_identical_and_point_masses(tmp_path, capsys):
     assert main(["emd", p1, p1, "--n", "6"]) == 0
     out = capsys.readouterr().out
     assert "emd = 0.0" in out
-    assert "reduced = 0x0, pivots = 0" in out
+    assert "reduced = 0x0, pivots = 0 (0 under Bland's rule)" in out
     assert "certificate: reduced_cost = 0.0" in out
 
     a = write(tmp_path, "a.csv", "set_bitmask_hex,probability\n0x3,1.0\n")
     b = write(tmp_path, "b.csv", "set_bitmask_hex,probability\n0x18,1.0\n")
     plan_path = str(tmp_path / "plan.csv")
     assert main(["emd", a, b, "--n", "6", "--plan", plan_path]) == 0
-    assert "emd = 4.0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "emd = 4.0" in out
+    assert "reduced = 1x1, pivots = 0 (0 under Bland's rule)" in out
     assert os.path.exists(plan_path)
+
+    # the least-cost start is not optimal here: two Dantzig pivots, no
+    # degenerate stall, so no pivot under Bland's rule
+    c = write(tmp_path, "c.csv",
+              "set_bitmask_hex,probability\n0xe,0.25\n0x19,0.25\n0x23,0.5\n")
+    e = write(tmp_path, "e.csv",
+              "set_bitmask_hex,probability\n0xb,0.25\n0x1c,0.25\n0x2a,0.5\n")
+    assert main(["emd", c, e, "--n", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "emd = 2.0" in out
+    assert "reduced = 3x3, pivots = 2 (0 under Bland's rule)" in out
 
 
 def test_cli_emd_pruned_distributions(tmp_path, capsys):

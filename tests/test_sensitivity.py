@@ -12,7 +12,9 @@ from subsens import (FunctionSpec, attach_bounds, average_sensitivity,
                      build_function, greedy_rule,
                      proportional_greedy_rule, randomized_greedy_rule,
                      worst_case_sensitivity)
-from subsens.algorithms import OrdinalSchedule, derive_rng, schedule_step_support
+from subsens.algorithms import (KOutOfRangeError, OrdinalSchedule, derive_rng,
+                                schedule_step_support)
+from subsens.distributions import exact_output_distribution, selection_profile
 from subsens.oracle import InvalidElementError
 from subsens.sensitivity import (DegenerateDError, SensitivityReport,
                                  LB_CONSTANT_NOTE, _sampled_with_key)
@@ -240,6 +242,35 @@ def test_bad_elements_rejected_before_any_work(elements, error):
     with pytest.raises(error):
         worst_case_sensitivity(spy, f, 2, elements=elements)
     assert spy.seen == []
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_k_outside_range_rejected_on_every_path(k):
+    # every path validates k against 1..n as run_sequential does, instead
+    # of returning the whole ground set (k=5) or the empty set (k=0)
+    f = modular(3, 2, 1)
+    rule = proportional_greedy_rule()
+    with pytest.raises(KOutOfRangeError, match=f"k={k} outside 1..3"):
+        exact_output_distribution(rule, f, k)
+    with pytest.raises(KOutOfRangeError, match=f"k={k} outside 1..3"):
+        selection_profile(rule, f, k)
+    with pytest.raises(KOutOfRangeError, match=f"k={k} outside 1..3"):
+        _sampled_with_key(rule, f, k, 10, (0,))
+    for mode, trials in (("exact", None), ("sampled", 10)):
+        with pytest.raises(KOutOfRangeError, match=f"k={k} outside 1..3"):
+            worst_case_sensitivity(rule, f, k, mode=mode, trials=trials)
+        with pytest.raises(KOutOfRangeError, match=f"k={k} outside 1..3"):
+            average_sensitivity(rule, f, k, mode=mode, trials=trials)
+
+
+@pytest.mark.parametrize("mode, trials", [("exact", None), ("sampled", 10)])
+def test_scan_at_k_equal_n_selects_every_remaining_element(mode, trials):
+    # k = n is in range; each deletion leaves n - 1 elements, all selected,
+    # so every deletion moves the output by exactly one element
+    f = modular(3, 2, 1)
+    for rule in (proportional_greedy_rule(), randomized_greedy_rule()):
+        report = worst_case_sensitivity(rule, f, 3, mode=mode, trials=trials)
+        assert [r.emd for r in report.per_element] == pytest.approx([1.0] * 3, abs=1e-12)
 
 
 # --- report mechanics -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact EMD solver: hand examples, brute-force agreement, metric axioms,
-duality certificates, serialization, and differential tests of the
-difference solve against brute force and the full-matrix simplex."""
+duality certificates, serialization, differential tests of the difference
+solve against brute force and the full-matrix simplex, and of the
+rooted-tree simplex against the frozen depth-first one."""
 
 from fractions import Fraction
 
@@ -8,12 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsens import (OutputDistribution, emd,
+from subsens import (FunctionSpec, OutputDistribution, build_function, emd,
+                     exact_output_distribution,
                      inclusion_probability_lower_bound, mask_of,
-                     sym_diff_cost, tv_distance)
+                     proportional_greedy_rule, restrict, sym_diff_cost,
+                     tv_distance)
 from subsens.transport import (InfeasibleMarginalsError,
-                               SupportCapExceededError, _network_simplex)
+                               SupportCapExceededError, _network_simplex,
+                               _rational_cost)
 
+from _dfs_simplex import dfs_network_simplex
 from _oracles import bruteforce_emd
 
 
@@ -418,3 +423,136 @@ def test_difference_solve_matches_plain_path_on_greedi_lb():
         assert abs(value - _plain_emd(base, d2)) <= 1e-9
         assert plan.reduced_rows < len(plan.sources)
         _recheck_plan(base, d2, value, plan)
+
+
+# --- rooted spanning tree against the frozen depth-first solver -------------
+
+
+@st.composite
+def _simplex_inputs(draw, kind):
+    """Balanced (a, b, cost) as emd hands them to the solver.
+
+    single: one row or one column; ties: integer |S △ T| costs over a few
+    bits, so many cells tie; equal: uniform masses, whose equal partial sums
+    make degenerate pivots, and float costs; random: random positive masses
+    and float costs.
+    Hypothesis draws the shape and a seed; numpy fills in the values.
+    """
+    r = draw(st.integers(4, 16))
+    c = draw(st.integers(4, 16))
+    if kind == "single":
+        if draw(st.booleans()):
+            r = 1
+        else:
+            c = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "equal":
+        a, b = np.full(r, 1.0 / r), np.full(c, 1.0 / c)
+    else:
+        a = rng.random(r) + 1e-3
+        b = rng.random(c) + 1e-3
+        a /= a.sum()
+        b /= b.sum()
+    b[int(np.argmax(b))] += a.sum() - b.sum()
+    if kind in ("equal", "random"):
+        cost = rng.random((r, c)) * 8
+    else:
+        bits = draw(st.integers(2, 8))
+        s = rng.integers(0, 2 ** bits, size=r)
+        t = rng.integers(0, 2 ** bits, size=c)
+        cost = np.bitwise_count(s[:, None] ^ t[None, :]).astype(float)
+    return a, b, cost
+
+
+@pytest.mark.parametrize("kind", ["single", "ties", "equal", "random"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rooted_tree_simplex_matches_dfs_reference(kind, data):
+    # same pivot rule and same cycle orientation: every pivot, flow and
+    # potential must agree bit for bit, not merely the optimal value
+    a, b, cost = data.draw(_simplex_inputs(kind))
+    basis, flows, u, v, pivots = _network_simplex(a.copy(), b.copy(), cost)
+    ref_basis, ref_flows, ref_u, ref_v, ref_pivots = dfs_network_simplex(
+        a.copy(), b.copy(), cost)
+    assert basis == ref_basis
+    assert flows == ref_flows
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(v, ref_v)
+    assert pivots == ref_pivots
+    assert 0 <= pivots.bland <= pivots
+
+
+@pytest.mark.parametrize("spec, k, total", [
+    (FunctionSpec("greedi_lb", n=10, c=0.5), 4, 968),
+    (FunctionSpec("appendixD_lb", n=24, c=0.75), 2, 529),
+])
+def test_proportional_scan_pivot_totals(spec, k, total):
+    # totals recorded with the depth-first solver: the rooted tree changes
+    # the bookkeeping of a pivot, never which pivot is taken
+    f = build_function(spec)
+    rule = proportional_greedy_rule()
+    base = exact_output_distribution(rule, f, k)
+    pivots = bland = 0
+    for e in range(f.n):
+        red = restrict(f, e)
+        d2 = exact_output_distribution(rule, red, k).remapped(red.index_map, f.n)
+        plan = emd(base, d2)[1]
+        pivots += plan.pivots
+        bland += plan.bland_pivots
+    assert (pivots, bland) == (total, 0)
+
+
+# --- exact rational objective -----------------------------------------------
+
+
+def _fraction_sum(entries, trials):
+    """The objective as one Fraction per plan entry."""
+    total = Fraction(0)
+    for s, t, f in entries:
+        total += Fraction(round(f * trials), trials) * sym_diff_cost(s, t)
+    return total
+
+
+@st.composite
+def _empirical_pair(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, n))
+    trials = draw(st.integers(1, 40))
+    sets = st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(mask_of)
+
+    def empirical():
+        counts = {}
+        for m in draw(st.lists(sets, min_size=trials, max_size=trials)):
+            counts[m] = counts.get(m, 0) + 1
+        return dist(n, k, {m: c / trials for m, c in counts.items()},
+                    mode="empirical", trials=trials)
+
+    return empirical(), empirical()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_empirical_pair())
+def test_rational_cost_equals_per_entry_fraction_sum(pair):
+    d1, d2 = pair
+    value, plan = emd(d1, d2)
+    assert plan.cost_rational is not None
+    assert plan.cost_rational == _fraction_sum(plan.entries, d1.trials)
+    assert float(plan.cost_rational) == pytest.approx(value, abs=1e-9)
+
+
+def test_rational_cost_none_off_grid_mismatched_or_exact():
+    d1 = dist(4, 1, {0b0001: 0.5, 0b0010: 0.5}, mode="empirical", trials=8)
+    d2 = dist(4, 1, {0b0001: 0.75, 0b0100: 0.25}, mode="empirical", trials=8)
+    on_grid = [(0b0001, 0b0001, 0.5), (0b0010, 0b0001, 0.25), (0b0010, 0b0100, 0.25)]
+    assert _rational_cost(d1, d2, on_grid) == Fraction(1, 1)
+    # 0.0625 is half of 1/8: off the grid of 8 trials
+    off_grid = [(0b0001, 0b0001, 0.5), (0b0010, 0b0001, 0.4375),
+                (0b0010, 0b0100, 0.0625)]
+    assert _rational_cost(d1, d2, off_grid) is None
+    d3 = dist(4, 1, {0b0001: 0.7, 0b0100: 0.3}, mode="empirical", trials=10)
+    assert _rational_cost(d1, d3, on_grid) is None
+    assert emd(d1, d3)[1].cost_rational is None
+    e1 = dist(4, 1, {0b0001: 0.5, 0b0010: 0.5})
+    e2 = dist(4, 1, {0b0001: 0.75, 0b0100: 0.25})
+    assert _rational_cost(e1, e2, on_grid) is None
+    assert _rational_cost(d1, e2, on_grid) is None
