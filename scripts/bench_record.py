@@ -10,16 +10,18 @@ Run from the repository root:
 The script measures the checkout at ``--root`` (default: the repository that
 holds this script) with that checkout's own ``perfbench/run.py``, unchanged:
 
-- each workload ``--repeats`` times untraced (the 4 end-to-end metrics) and
-  ``--repeats`` times with ``--trace 1`` (the 21 per-layer metrics), and
-  keeps the median of every metric;
+- each workload ``REPEATS`` times untraced (the 4 end-to-end metrics) and
+  ``REPEATS`` times with ``--trace 1`` (the 21 per-layer metrics), at seed
+  ``SEED`` for ``SECONDS`` seconds, and keeps the median of every metric;
 - the wall time of every ``subsens reproduce`` suite and of the tier-1 test
   run;
 - the number of lines in ``src/``.
 
 The section is written under its name into ``--out``; other sections
 already in the file are kept, so a parent and a change can be recorded by
-the same script into one file.  Every run must report ``correct: true``.
+the same script into one file.  Each section carries the platform, CPU
+count and Python and numpy versions it was recorded under.  Every run must
+report ``correct: true``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("exact-scan", "exact-dp", "sampled", "distributed")
+SEED = 7
+SECONDS = 20
+REPEATS = 3
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -48,18 +53,21 @@ def _env(root: str) -> dict:
     return env
 
 
-def _timed(cmd: list[str], root: str, cwd: str) -> tuple[float, subprocess.CompletedProcess]:
+def _timed(cmd: list[str], root: str) -> tuple[float, subprocess.CompletedProcess]:
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=cwd, env=_env(root), stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
+    proc = subprocess.run(cmd, cwd=root, env=_env(root), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
     return time.perf_counter() - start, proc
 
 
-def perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(root: str, workload: str, trace: int) -> dict:
     """One perfbench run; returns its metric values by name."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    _, proc = _timed(cmd, root, root)
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+    _, proc = _timed(cmd, root)
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench {workload} (trace {trace}) exited "
+                         f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])
     if not result["correct"]:
         raise SystemExit(f"perfbench {workload} (trace {trace}) failed its checks:\n"
@@ -81,9 +89,10 @@ def suite_times(root: str) -> dict:
         for name in names:
             cmd = [sys.executable, "-m", "subsens.harness", "reproduce", name,
                    "--outdir", out]
-            elapsed, proc = _timed(cmd, root, root)
+            elapsed, proc = _timed(cmd, root)
             if proc.returncode != 0:
-                raise SystemExit(f"suite {name} exited {proc.returncode}:\n{proc.stdout}")
+                raise SystemExit(f"suite {name} exited {proc.returncode}:\n"
+                                 f"{proc.stdout}{proc.stderr}")
             times[name] = elapsed
     return times
 
@@ -98,16 +107,19 @@ def src_lines(root: str) -> int:
     return total
 
 
-def record(root: str, seed: int, seconds: float, repeats: int) -> dict:
+def record(root: str) -> dict:
     workloads = {}
     for workload in WORKLOADS:
-        plain = [perfbench(root, workload, seed, seconds, 0) for _ in range(repeats)]
-        traced = [perfbench(root, workload, seed, seconds, 1) for _ in range(repeats)]
+        plain = [perfbench(root, workload, 0) for _ in range(REPEATS)]
+        traced = [perfbench(root, workload, 1) for _ in range(REPEATS)]
         workloads[workload] = {"end_to_end": medians(plain), "traced": medians(traced),
                                "runs": {"end_to_end": plain, "traced": traced}}
-    tier1_s, proc = _timed([sys.executable] + TIER1, root, root)
+    tier1_s, proc = _timed([sys.executable] + TIER1, root)
     return {
-        "perfbench": {"seed": seed, "seconds": seconds, "repeats": repeats,
+        "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                    "cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "perfbench": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS,
                       "statistic": "median", "workloads": workloads},
         "suite_wall_s": suite_times(root),
         "tier1": {"wall_s": tier1_s, "summary": proc.stdout.strip().splitlines()[-1]},
@@ -120,21 +132,12 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="BENCH_*.json file to update")
     ap.add_argument("--section", required=True, help="name of the section to write")
     ap.add_argument("--root", default=os.path.dirname(HERE), help="checkout to measure")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
-    if args.repeats < 3:
-        ap.error("--repeats must be at least 3")
     data = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             data = json.load(fh)
-    data["machine"] = {"platform": platform.platform(), "machine": platform.machine(),
-                       "cpus": os.cpu_count(), "python": platform.python_version(),
-                       "numpy": np.__version__}
-    data.setdefault("sections", {})[args.section] = record(
-        os.path.abspath(args.root), args.seed, args.seconds, args.repeats)
+    data.setdefault("sections", {})[args.section] = record(os.path.abspath(args.root))
     with open(args.out, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

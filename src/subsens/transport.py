@@ -73,16 +73,6 @@ def inclusion_probability_lower_bound(d1: OutputDistribution,
     return float(np.abs(d1.inclusion_probabilities() - d2.inclusion_probabilities()).sum())
 
 
-class PivotCount(int):
-    """A pivot total that also carries ``bland``, how many of those pivots
-    were taken under Bland's rule."""
-
-    def __new__(cls, total: int, bland: int = 0):
-        count = super().__new__(cls, total)
-        count.bland = bland
-        return count
-
-
 @dataclass
 class TransportPlan:
     """Optimal coupling between two subset distributions.
@@ -198,8 +188,8 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     below the leaving arc, shifts the potentials of whichever side holds
     the entering column, and re-hangs the subtree from the entering arc.
 
-    Returns (basis, flows, u, v, pivots); ``pivots`` is a ``PivotCount``
-    whose ``bland`` attribute counts the pivots taken under Bland's rule.
+    Returns (basis, flows, u, v, pivots, bland_pivots); ``bland_pivots``
+    counts the pivots taken under Bland's rule.
     """
     r, c = cost.shape
     n_nodes = r + c
@@ -345,7 +335,7 @@ def _network_simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
         else:
             stall = 0
             bland = False
-    return basis, flows, u, -neg_v, PivotCount(pivots, bland_pivots)
+    return basis, flows, u, -neg_v, pivots, bland_pivots
 
 
 def emd(d1: OutputDistribution, d2: OutputDistribution, *,
@@ -395,7 +385,7 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
 
     u = np.zeros(len(sources))
     v = np.zeros(len(targets))
-    basis, flows, pivots = [], [], PivotCount(0)
+    basis, flows, pivots, bland_pivots = [], [], 0, 0
     if len(rows) and len(cols):
         ar = np.array([excess_a[i] for i in rows])
         br = np.array([excess_b[j] for j in cols])
@@ -403,7 +393,7 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
         # disjoint supports cancel nothing: solve on the full matrix, uncopied
         uncancelled = len(rows) == len(sources) and len(cols) == len(targets)
         reduced = cost if uncancelled else cost[np.ix_(rows, cols)]
-        basis, flows, _, vr, pivots = _network_simplex(ar, br, reduced)
+        basis, flows, _, vr, pivots, bland_pivots = _network_simplex(ar, br, reduced)
         del reduced
         # c-transform of the reduced dual extends it to every set
         shifted = cost[:, cols]
@@ -444,7 +434,7 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
         max_marginal_residual=float(max(np.abs(row_sums - a).max(),
                                         np.abs(col_sums - b).max())),
         max_slackness_violation=float(slack),
-        pivots=int(pivots), bland_pivots=pivots.bland,
+        pivots=pivots, bland_pivots=bland_pivots,
         mass_gap=gap,
         reduced_rows=len(rows), reduced_cols=len(cols),
     )

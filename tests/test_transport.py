@@ -406,7 +406,7 @@ def _plain_emd(d1, d2):
     b = np.array([d2.probs[m] for m in targets])
     b[int(np.argmax(b))] += a.sum() - b.sum()
     cost = np.array([[float((s ^ t).bit_count()) for t in targets] for s in sources])
-    basis, flows, _, _, _ = _network_simplex(a, b, cost)
+    basis, flows, *_ = _network_simplex(a, b, cost)
     return sum(f * cost[i, j] for (i, j), f in zip(basis, flows))
 
 
@@ -464,14 +464,9 @@ def _simplex_inputs(draw, kind):
     return a, b, cost
 
 
-@pytest.mark.parametrize("kind", ["single", "ties", "equal", "random"])
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_rooted_tree_simplex_matches_dfs_reference(kind, data):
-    # same pivot rule and same cycle orientation: every pivot, flow and
-    # potential must agree bit for bit, not merely the optimal value
-    a, b, cost = data.draw(_simplex_inputs(kind))
-    basis, flows, u, v, pivots = _network_simplex(a.copy(), b.copy(), cost)
+def _assert_matches_dfs_reference(a, b, cost):
+    """Solve with both simplexes; returns the Bland pivot count."""
+    basis, flows, u, v, pivots, bland = _network_simplex(a.copy(), b.copy(), cost)
     ref_basis, ref_flows, ref_u, ref_v, ref_pivots = dfs_network_simplex(
         a.copy(), b.copy(), cost)
     assert basis == ref_basis
@@ -479,7 +474,31 @@ def test_rooted_tree_simplex_matches_dfs_reference(kind, data):
     assert np.array_equal(u, ref_u)
     assert np.array_equal(v, ref_v)
     assert pivots == ref_pivots
-    assert 0 <= pivots.bland <= pivots
+    assert 0 <= bland <= pivots
+    return bland
+
+
+@pytest.mark.parametrize("kind", ["single", "ties", "equal", "random"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rooted_tree_simplex_matches_dfs_reference(kind, data):
+    # same pivot rule and same cycle orientation: every pivot, flow and
+    # potential must agree bit for bit, not merely the optimal value
+    a, b, cost = data.draw(_simplex_inputs(kind))
+    _assert_matches_dfs_reference(a, b, cost)
+
+
+def test_bland_fallback_counted_and_matches_dfs_reference():
+    # masses below PIVOT_TOL make every pivot that moves only them count as
+    # degenerate, so a long enough run switches the solver to Bland's rule
+    r, c, eps = 14, 12, 1e-14
+    a = np.full(r, eps)
+    a[0] = 1 - eps * (r - 1)
+    b = np.full(c, eps)
+    b[-1] = 1 - eps * (c - 1)
+    b[-1] += a.sum() - b.sum()
+    cost = (np.arange(r)[:, None] * (np.arange(c)[None, :] + 3) % 5).astype(float)
+    assert _assert_matches_dfs_reference(a, b, cost) == 3
 
 
 @pytest.mark.parametrize("spec, k, total", [
