@@ -3,8 +3,8 @@
 
 Run from the repository root:
 
-    python3 scripts/bench_record.py --out BENCH_8.json --section change
-    python3 scripts/bench_record.py --out BENCH_8.json --section parent \
+    python3 scripts/bench_record.py --out BENCH_10.json --section change
+    python3 scripts/bench_record.py --out BENCH_10.json --section parent \
         --root ../parent-checkout
 
 The script measures the checkout at ``--root`` (default: the repository that
@@ -17,6 +17,14 @@ holds this script) with that checkout's own ``perfbench/run.py``, unchanged:
   run;
 - the number of lines in ``src/``.
 
+Wall times drift with the machine's speed, so every suite, the tier-1 run
+and every perfbench run is bracketed by two timings of ``calibrate()`` from
+the checkout's own ``perfbench/run.py``, each the median of
+``CALIBRATIONS`` calls, since one call varies by up to 2x.  Each raw time
+is stored next to ``wall_s * CALIBRATION_REF_S / mean(before, after)``, the
+time on a machine where the kernel takes ``CALIBRATION_REF_S``
+(``setup_s_calibrated`` for perfbench's ``setup_s``).
+
 The section is written under its name into ``--out``; other sections
 already in the file are kept, so a parent and a change can be recorded by
 the same script into one file.  Each section carries the platform, CPU
@@ -27,6 +35,7 @@ report ``correct: true``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -43,6 +52,7 @@ WORKLOADS = ("exact-scan", "exact-dp", "sampled", "distributed")
 SEED = 7
 SECONDS = 20
 REPEATS = 3
+CALIBRATIONS = 5
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -60,11 +70,31 @@ def _timed(cmd: list[str], root: str) -> tuple[float, subprocess.CompletedProces
     return time.perf_counter() - start, proc
 
 
-def perfbench(root: str, workload: str, trace: int) -> dict:
+def load_perfbench(root: str):
+    """The checkout's own ``perfbench/run.py`` as a module, unchanged."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(root, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _calibrated(cmd: list[str], root: str, bench) -> tuple[dict, subprocess.CompletedProcess]:
+    """Run ``cmd`` between two calibration timings; returns the raw wall
+    time, both timings and the calibration factor, and the process."""
+    before = statistics.median(bench.calibrate() for _ in range(CALIBRATIONS))
+    wall, proc = _timed(cmd, root)
+    after = statistics.median(bench.calibrate() for _ in range(CALIBRATIONS))
+    factor = bench.CALIBRATION_REF_S / ((before + after) / 2)
+    return {"wall_s": wall, "calibrated_s": wall * factor,
+            "calibration_s": [before, after], "factor": factor}, proc
+
+
+def perfbench(root: str, workload: str, trace: int, bench) -> dict:
     """One perfbench run; returns its metric values by name."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
-    _, proc = _timed(cmd, root)
+    timing, proc = _calibrated(cmd, root, bench)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench {workload} (trace {trace}) exited "
                          f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
@@ -72,14 +102,17 @@ def perfbench(root: str, workload: str, trace: int) -> dict:
     if not result["correct"]:
         raise SystemExit(f"perfbench {workload} (trace {trace}) failed its checks:\n"
                          + proc.stdout)
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    if "setup_s" in values:
+        values["setup_s_calibrated"] = values["setup_s"] * timing["factor"]
+    return values
 
 
 def medians(runs: list[dict]) -> dict:
     return {name: statistics.median(r[name] for r in runs) for name in runs[0]}
 
 
-def suite_times(root: str) -> dict:
+def suite_times(root: str, bench) -> dict:
     listing = subprocess.run([sys.executable, "-m", "subsens.harness", "list-suites"],
                              cwd=root, env=_env(root), stdout=subprocess.PIPE,
                              text=True, check=True).stdout
@@ -89,11 +122,10 @@ def suite_times(root: str) -> dict:
         for name in names:
             cmd = [sys.executable, "-m", "subsens.harness", "reproduce", name,
                    "--outdir", out]
-            elapsed, proc = _timed(cmd, root)
+            times[name], proc = _calibrated(cmd, root, bench)
             if proc.returncode != 0:
                 raise SystemExit(f"suite {name} exited {proc.returncode}:\n"
                                  f"{proc.stdout}{proc.stderr}")
-            times[name] = elapsed
     return times
 
 
@@ -108,21 +140,23 @@ def src_lines(root: str) -> int:
 
 
 def record(root: str) -> dict:
+    bench = load_perfbench(root)
     workloads = {}
     for workload in WORKLOADS:
-        plain = [perfbench(root, workload, 0) for _ in range(REPEATS)]
-        traced = [perfbench(root, workload, 1) for _ in range(REPEATS)]
+        plain = [perfbench(root, workload, 0, bench) for _ in range(REPEATS)]
+        traced = [perfbench(root, workload, 1, bench) for _ in range(REPEATS)]
         workloads[workload] = {"end_to_end": medians(plain), "traced": medians(traced),
                                "runs": {"end_to_end": plain, "traced": traced}}
-    tier1_s, proc = _timed([sys.executable] + TIER1, root)
+    tier1, proc = _calibrated([sys.executable] + TIER1, root, bench)
     return {
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpus": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
         "perfbench": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS,
                       "statistic": "median", "workloads": workloads},
-        "suite_wall_s": suite_times(root),
-        "tier1": {"wall_s": tier1_s, "summary": proc.stdout.strip().splitlines()[-1]},
+        "calibration_ref_s": bench.CALIBRATION_REF_S,
+        "suites": suite_times(root, bench),
+        "tier1": {**tier1, "summary": proc.stdout.strip().splitlines()[-1]},
         "src_lines": src_lines(root),
     }
 

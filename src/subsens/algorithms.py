@@ -212,11 +212,15 @@ def schedule_step_support(schedule: OrdinalSchedule, oracle: ValueOracle, curren
     return [(ranked[p - 1], q, margs[p - 1]) for p, q in zip(positions, probs)]
 
 
-def _check_k(oracle: ValueOracle, k: int, allowed: Optional[int]):
-    pool = allowed if allowed is not None else oracle.full_mask
+def _check_k(alg, oracle: ValueOracle, k: int, allowed: Optional[int]) -> int:
+    """Steps of a run, min(k, |pool|); k outside 1..n, or a schedule with
+    fewer steps than that, raises KOutOfRangeError."""
     if k < 1 or k > oracle.n:
         raise KOutOfRangeError(f"k={k} outside 1..{oracle.n}")
-    return min(k, pool.bit_count())
+    steps = min(k, (allowed if allowed is not None else oracle.full_mask).bit_count())
+    if isinstance(alg, OrdinalSchedule) and alg.k < steps:
+        raise KOutOfRangeError(f"schedule built for k={alg.k}, run needs {steps} steps")
+    return steps
 
 
 def deterministic_greedy(oracle: ValueOracle, k: int,
@@ -226,7 +230,7 @@ def deterministic_greedy(oracle: ValueOracle, k: int,
     Scans one representative per block (its lowest remaining id): members
     of a block share their gain, so the first strict maximum in id order is
     the same element the per-element scan picks."""
-    steps = _check_k(oracle, k, allowed)
+    steps = _check_k(None, oracle, k, allowed)
     pool = allowed if allowed is not None else oracle.full_mask
     current = 0
     records = []
@@ -248,7 +252,7 @@ def run_sequential(oracle: ValueOracle, k: int, rule: DecisionRule, seed: int,
     Reproducible: the draw at step i uses a generator keyed by (seed, i)
     (or (*seed_key, i) when a composite key is supplied).
     """
-    steps = _check_k(oracle, k, allowed)
+    steps = _check_k(rule, oracle, k, allowed)
     key = seed_key if seed_key is not None else (seed,)
     current = 0
     records = []
@@ -277,9 +281,7 @@ def independent_sequential(oracle: ValueOracle, k: int, schedule: OrdinalSchedul
     distribution.  Aborts with IndexBeyondRemainingError when the schedule
     addresses a rank past the remaining pool.
     """
-    steps = _check_k(oracle, k, allowed)
-    if schedule.k < steps:
-        raise KOutOfRangeError(f"schedule built for k={schedule.k}, run needs {steps} steps")
+    steps = _check_k(schedule, oracle, k, allowed)
     key = seed_key if seed_key is not None else (seed,)
     current = 0
     records = []

@@ -14,8 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algorithms import (DecisionRule, OrdinalSchedule, _check_k,
-                         independent_sequential, run_sequential,
+from .algorithms import (DecisionRule, OrdinalSchedule, _check_k, derive_rng,
                          schedule_step_support)
 from .oracle import ValueOracle, GroundSet
 
@@ -115,10 +114,11 @@ class OutputDistribution:
 
 def _step_support(alg: Algorithm, oracle: ValueOracle, current: int, step: int,
                   k: int, allowed: Optional[int]) -> list[tuple[int, float]]:
-    """(element, probability) pairs for one step, ascending id, each > 0."""
+    """(element, probability) pairs for one step, each > 0: a rule's in
+    ascending id order, a schedule's in the order it lists its ranks."""
     if isinstance(alg, OrdinalSchedule):
-        return sorted((e, q) for e, q, _ in
-                      schedule_step_support(alg, oracle, current, step, allowed))
+        return [(e, q) for e, q, _ in
+                schedule_step_support(alg, oracle, current, step, allowed)]
     return alg.probabilities(oracle, current, k, allowed)
 
 
@@ -132,9 +132,8 @@ def _level_dp(alg: Algorithm, oracle: ValueOracle, k: int, node_budget: int,
     the mass of every step-i branch, pruned ones included.
     """
     GroundSet(oracle.n).require_exact()
-    _check_k(oracle, k, allowed)
     pool = allowed if allowed is not None else oracle.full_mask
-    steps = min(k, (pool & ~start_mask).bit_count())
+    steps = _check_k(alg, oracle, k, pool & ~start_mask)
     level = {start_mask: 1.0}
     budget = node_budget
     lost = 0.0
@@ -182,26 +181,65 @@ def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
     return dist.validate()
 
 
+def _sample(alg: Algorithm, oracle: ValueOracle, k: int, trials: int, key: tuple,
+            allowed: Optional[int] = None, per_step: bool = False) -> OutputDistribution:
+    """Empirical distribution of ``trials`` runs from the empty set.
+
+    The algorithm is evaluated once per distinct current set (the step
+    index is its size plus one); its support's elements, cumulative sums
+    and draw scale are kept for the rest of the call.  Each caller keeps
+    its recorded stream.  ``per_step`` (``sampled_output_distribution``):
+    step i of trial t picks as ``Generator.choice`` does in the sequential
+    runners, from the substream keyed (*key, t, i), so trial t is their run
+    with ``seed_key=(*key, t)``; a rule's masses are divided by their sum
+    over all n ids, which need not equal the sum of the pairs bit for bit.
+    Keyed (the sensitivity scan): trial t draws ``random(steps)`` from the
+    substream keyed (*key, t); a rule's cumulative sums are searched for the
+    draw times their total, a schedule's for the raw draw, and a draw past
+    the last sum takes the last element.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    steps = _check_k(alg, oracle, k, allowed)
+    is_rule = not isinstance(alg, OrdinalSchedule)
+    counts: dict[int, int] = {}
+    step_cache: dict[int, tuple] = {}
+    for t in range(trials):
+        draws = None if per_step else derive_rng(*key, t).random(steps)
+        current = 0
+        for i in range(steps):
+            cached = step_cache.get(current)
+            if cached is None:
+                pairs = _step_support(alg, oracle, current, i + 1, k, allowed)
+                elements = [e for e, _ in pairs]
+                masses = np.array([p for _, p in pairs])
+                if per_step and is_rule:
+                    s = np.bincount(elements, masses, oracle.n).sum()
+                    if abs(s - 1.0) > 1e-9:
+                        raise ValueError(f"rule probabilities sum to {s}")
+                    masses /= s
+                cum = np.cumsum(masses)
+                if per_step:
+                    cum /= cum[-1]  # so cum[-1] == 1.0 below
+                cached = step_cache[current] = (elements, cum, cum[-1] if is_rule else 1.0)
+            elements, cum, scale = cached
+            draw = derive_rng(*key, t, i + 1).random() if per_step else draws[i]
+            idx = int(cum.searchsorted(draw * scale, side="right"))
+            current |= 1 << elements[min(idx, len(elements) - 1)]
+        counts[current] = counts.get(current, 0) + 1
+    probs = {mask: c / trials for mask, c in counts.items()}
+    return OutputDistribution(oracle.n, steps, probs, mode="empirical",
+                              trials=trials).validate()
+
+
 def sampled_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int,
                                 trials: int, seed: int, *,
                                 allowed: Optional[int] = None) -> OutputDistribution:
-    """Empirical measure of `trials` independent runs; trial t uses the
-    substream keyed (seed, t)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    counts: dict[int, int] = {}
-    for t in range(trials):
-        if isinstance(alg, OrdinalSchedule):
-            mask, _ = independent_sequential(oracle, k, alg, seed,
-                                             allowed=allowed, seed_key=(seed, t))
-        else:
-            mask, _ = run_sequential(oracle, k, alg, seed,
-                                     allowed=allowed, seed_key=(seed, t))
-        counts[mask] = counts.get(mask, 0) + 1
-    probs = {mask: c / trials for mask, c in counts.items()}
-    pool = allowed if allowed is not None else oracle.full_mask
-    return OutputDistribution(oracle.n, min(k, pool.bit_count()), probs,
-                              mode="empirical", trials=trials).validate()
+    """Empirical measure of `trials` independent runs.  Step i of trial t
+    draws from the substream keyed (seed, t, i), so trial t is the run of
+    ``run_sequential`` / ``independent_sequential`` with
+    ``seed_key=(seed, t)``."""
+    return _sample(alg, oracle, k, trials, (seed,), allowed, per_step=True)
 
 
 @dataclass

@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algorithms import (OrdinalSchedule, _check_k, derive_rng,
-                         schedule_step_support)
-from .distributions import (Algorithm, OutputDistribution,
+from .algorithms import derive_rng
+from .distributions import (Algorithm, OutputDistribution, _sample,
                             exact_output_distribution, DEFAULT_NODE_BUDGET)
 from .oracle import InvalidElementError, ValueOracle, restrict
 from .transport import emd, inclusion_probability_lower_bound
@@ -123,47 +122,8 @@ def _distribution(alg, oracle, k, mode, trials, seed_tag,
     if mode == "sampled":
         if not trials:
             raise ValueError("sampled mode needs trials")
-        return _sampled_with_key(alg, oracle, k, trials, seed_tag)
+        return _sample(alg, oracle, k, trials, seed_tag)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _sampled_with_key(alg, oracle, k, trials, seed_key) -> OutputDistribution:
-    """Empirical distribution over `trials` runs, one substream per trial.
-
-    Uses inverse-CDF draws from the per-step supports; this is
-    distributionally identical to the sequential runners but avoids per-step
-    generator construction in the trial loop.  The algorithm is evaluated
-    once per distinct current set (the step index is its size plus one):
-    its support's elements, cumulative sums and draw scale are kept for the
-    rest of the call.  A rule's cumulative sums are rescaled by their total;
-    a schedule's are walked in rank order against the raw draw, and a draw
-    past the last sum takes the last element.
-    """
-    is_schedule = isinstance(alg, OrdinalSchedule)
-    steps = _check_k(oracle, k, None)
-    counts: dict[int, int] = {}
-    step_cache: dict[int, tuple] = {}
-    for t in range(trials):
-        draws = derive_rng(*seed_key, t).random(steps)
-        current = 0
-        for i in range(steps):
-            cached = step_cache.get(current)
-            if cached is None:
-                if is_schedule:
-                    pairs = [(e, q) for e, q, _ in
-                             schedule_step_support(alg, oracle, current, i + 1)]
-                else:
-                    pairs = alg.probabilities(oracle, current, k)
-                cum = np.cumsum([p for _, p in pairs])
-                cached = step_cache[current] = (
-                    [e for e, _ in pairs], cum, 1.0 if is_schedule else cum[-1])
-            elements, cum, scale = cached
-            idx = int(cum.searchsorted(draws[i] * scale, side="right"))
-            current |= 1 << elements[min(idx, len(elements) - 1)]
-        counts[current] = counts.get(current, 0) + 1
-    probs_out = {m: c / trials for m, c in counts.items()}
-    return OutputDistribution(oracle.n, steps, probs_out,
-                              mode="empirical", trials=trials).validate()
 
 
 def _bootstrap_halfwidth(d1: OutputDistribution, d2: OutputDistribution,
@@ -198,7 +158,7 @@ def _measure_element(alg, oracle, k, e, base_dist, mode, trials, seed,
         d2 = exact_output_distribution(alg, reduced, k_reduced, p_min=p_min,
                                        node_budget=node_budget)
     else:
-        d2 = _sampled_with_key(alg, reduced, k_reduced, trials, (seed, 1, e))
+        d2 = _sample(alg, reduced, k_reduced, trials, (seed, 1, e))
     d2 = d2.remapped(reduced.index_map, oracle.n)
     value, _ = emd(base_dist, d2)
     value = float(value)

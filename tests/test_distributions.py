@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsens import (FunctionSpec, OrdinalSchedule, build_function,
                      exact_output_distribution, greedy_rule,
-                     proportional_greedy_rule, randomized_greedy_rule,
-                     run_sequential, sampled_output_distribution,
-                     selection_profile, shipped_default_specs,
-                     deterministic_greedy, tv_distance)
-from subsens.algorithms import schedule_step_support
+                     independent_sequential, proportional_greedy_rule,
+                     randomized_greedy_rule, run_sequential,
+                     sampled_output_distribution, selection_profile,
+                     shipped_default_specs, deterministic_greedy, tv_distance,
+                     worst_case_sensitivity)
+from subsens.algorithms import IndexBeyondRemainingError, schedule_step_support
 from subsens.distributions import NodeBudgetExceededError, OutputDistribution
 
 from _oracles import ordered_selection_enumeration
@@ -153,6 +155,54 @@ def test_sampled_close_to_exact():
     assert tv_distance(exact, emp) < 0.02
 
 
+def sampler_algorithms(k):
+    return {"greedy": greedy_rule(), "randgreedy": randomized_greedy_rule(),
+            "proportional": proportional_greedy_rule(),
+            "schedule-greedy": OrdinalSchedule.greedy(k),
+            "schedule-randgreedy": OrdinalSchedule.randomized_greedy(k),
+            # ranks listed out of order, so the walk order matters
+            "schedule-custom": OrdinalSchedule(k, (((2, 1), (0.6, 0.4)),) * k)}
+
+
+def _outcome(call):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except IndexBeyondRemainingError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(ENUM_SPECS), name=st.sampled_from(sorted(sampler_algorithms(1))),
+       k=st.integers(1, 4), pool=st.one_of(st.none(), st.integers(0, 255)),
+       seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 4))
+def test_sampled_trials_match_sequential_runners(spec, name, k, pool, seed, trials):
+    # trial t of the memoized sampler is the runner's run with
+    # seed_key=(seed, t); trials do not depend on how many are drawn, so
+    # the distribution of t + 1 trials minus that of t is trial t's mask
+    f = build_function(spec)
+    k = min(k, f.n)
+    alg = sampler_algorithms(k)[name]
+    allowed = None if pool is None else pool & f.full_mask
+    runner = independent_sequential if isinstance(alg, OrdinalSchedule) else run_sequential
+    runs = [_outcome(lambda: runner(f, k, alg, seed, allowed=allowed,
+                                    seed_key=(seed, t))[0])
+            for t in range(trials)]
+    previous = {}
+    for t in range(trials):
+        sampled = _outcome(lambda: sampled_output_distribution(
+            alg, f, k, t + 1, seed, allowed=allowed))
+        if isinstance(sampled, tuple):
+            # the sampler stops at the first trial that fails, with its error
+            assert sampled == next(r for r in runs[:t + 1] if isinstance(r, tuple))
+            return
+        counts = {m: round(p * (t + 1)) for m, p in sampled.probs.items()}
+        drawn = {m: c - previous.get(m, 0) for m, c in counts.items()
+                 if c != previous.get(m, 0)}
+        assert drawn == {runs[t]: 1}, t
+        previous = counts
+
+
 def test_sampled_seed_determinism():
     f = build_function(FunctionSpec("randgreedy_lb", n=10, k=2))
     d1 = sampled_output_distribution(randomized_greedy_rule(), f, 2, trials=400, seed=11)
@@ -164,6 +214,9 @@ def test_sampled_needs_positive_trials():
     f = modular(1, 2)
     with pytest.raises(ValueError):
         sampled_output_distribution(greedy_rule(), f, 1, trials=0, seed=0)
+    # the scan's sampler checks its trials too, before any draw
+    with pytest.raises(ValueError, match="trials must be >= 1, got -3"):
+        worst_case_sensitivity(greedy_rule(), f, 1, mode="sampled", trials=-3)
 
 
 # --- selection profile ------------------------------------------------------

@@ -11,13 +11,14 @@ from subsens import (FunctionSpec, attach_bounds, average_sensitivity,
                      bound_prop_greedy_sensitivity_lb, bound_randgreedy_lb,
                      build_function, greedy_rule,
                      proportional_greedy_rule, randomized_greedy_rule,
-                     worst_case_sensitivity)
+                     sampled_output_distribution, worst_case_sensitivity)
 from subsens.algorithms import (KOutOfRangeError, OrdinalSchedule, derive_rng,
+                                independent_sequential, run_sequential,
                                 schedule_step_support)
-from subsens.distributions import exact_output_distribution, selection_profile
+from subsens.distributions import (_sample as _sampled_with_key,
+                                   exact_output_distribution, selection_profile)
 from subsens.oracle import InvalidElementError
-from subsens.sensitivity import (DegenerateDError, SensitivityReport,
-                                 LB_CONSTANT_NOTE, _sampled_with_key)
+from subsens.sensitivity import DegenerateDError, SensitivityReport, LB_CONSTANT_NOTE
 
 
 def modular(*weights):
@@ -216,20 +217,49 @@ def plain_sampled_counts(alg, oracle, k, trials, seed_key):
     return {m: c / trials for m, c in counts.items()}, visited
 
 
-@pytest.mark.parametrize("spec", [FunctionSpec("appendixD_lb", n=12, c=0.75),
-                                  FunctionSpec("modular", n=7, weights=(5, 4, 4, 3, 2, 1, 1))])
-def test_sampled_evaluates_rule_once_per_state(spec):
+def runner_counts(alg, oracle, k, trials, seed_key):
+    """The per-trial sequential runners, trial t with seed_key=(*seed_key, t),
+    and every set they evaluate the algorithm at."""
+    counts, visited = {}, set()
+    for t in range(trials):
+        runner = independent_sequential if isinstance(alg, OrdinalSchedule) else run_sequential
+        mask, trace = runner(oracle, k, alg, 0, seed_key=(*seed_key, t))
+        current = 0
+        for step in trace.steps:
+            visited.add(current)
+            current |= 1 << step.element
+        counts[mask] = counts.get(mask, 0) + 1
+    return {m: c / trials for m, c in counts.items()}, visited
+
+
+def public_sampler(alg, oracle, k, trials, key):
+    return sampled_output_distribution(alg, oracle, k, trials, *key)
+
+
+# (sampler, its per-trial reference, key): the scan's keyed stream and the
+# public sampler's per-step stream
+SAMPLERS = {"keyed": (_sampled_with_key, plain_sampled_counts, (3, 1, 0)),
+            "per-step": (public_sampler, runner_counts, (3,))}
+STATE_SPECS = [FunctionSpec("appendixD_lb", n=12, c=0.75),
+               FunctionSpec("modular", n=7, weights=(5, 4, 4, 3, 2, 1, 1))]
+
+
+@pytest.mark.parametrize("spec, sampler", [
+    pytest.param(spec, sampler, id=f"spec{i}" + ("" if sampler == "keyed" else f"-{sampler}"))
+    for sampler in SAMPLERS for i, spec in enumerate(STATE_SPECS)])
+def test_sampled_evaluates_rule_once_per_state(spec, sampler):
+    sample, reference, key = SAMPLERS[sampler]
     f = build_function(spec)
-    k, trials, key = 3, 400, (3, 1, 0)
+    k, trials = 3, 400
     spy = SpyRule()
-    dist = _sampled_with_key(spy, f, k, trials, key)
-    expected, visited = plain_sampled_counts(proportional_greedy_rule(), f, k, trials, key)
+    dist = sample(spy, f, k, trials, key)
+    expected, visited = reference(proportional_greedy_rule(), f, k, trials, key)
     assert len(spy.seen) == len(set(spy.seen)) <= len(visited)
     assert set(spy.seen) == visited
     assert dist.probs == expected
     schedule = OrdinalSchedule.randomized_greedy(k)
-    expected, _ = plain_sampled_counts(schedule, f, k, trials, key)
-    assert _sampled_with_key(schedule, f, k, trials, key).probs == expected
+    expected, _ = reference(schedule, f, k, trials, key)
+    assert sample(schedule, f, k, trials, key).probs == expected
 
 
 @pytest.mark.parametrize("elements, error", [([], ValueError),
@@ -261,6 +291,30 @@ def test_k_outside_range_rejected_on_every_path(k):
             worst_case_sensitivity(rule, f, k, mode=mode, trials=trials)
         with pytest.raises(KOutOfRangeError, match=f"k={k} outside 1..3"):
             average_sensitivity(rule, f, k, mode=mode, trials=trials)
+
+
+def test_schedule_shorter_than_run_rejected_on_every_path():
+    # a schedule built for k=2 has no distribution for step 3: every path
+    # says so, as independent_sequential does, instead of indexing past it
+    f = modular(6, 5, 4, 3, 2, 1)
+    schedule = OrdinalSchedule.randomized_greedy(2)
+    message = "schedule built for k=2, run needs 3 steps"
+    with pytest.raises(KOutOfRangeError, match=message):
+        exact_output_distribution(schedule, f, 3)
+    with pytest.raises(KOutOfRangeError, match=message):
+        selection_profile(schedule, f, 3)
+    with pytest.raises(KOutOfRangeError, match=message):
+        sampled_output_distribution(schedule, f, 3, 10, seed=0)
+    with pytest.raises(KOutOfRangeError, match=message):
+        independent_sequential(f, 3, schedule, 0)
+    for mode, trials in (("exact", None), ("sampled", 10)):
+        with pytest.raises(KOutOfRangeError, match=message):
+            worst_case_sensitivity(schedule, f, 3, mode=mode, trials=trials)
+        with pytest.raises(KOutOfRangeError, match=message):
+            average_sensitivity(schedule, f, 3, mode=mode, trials=trials)
+    # a pool of two needs only two steps
+    assert sampled_output_distribution(OrdinalSchedule.greedy(2), f, 3, 10, seed=0,
+                                       allowed=0b11).probs == {0b11: 1.0}
 
 
 @pytest.mark.parametrize("mode, trials", [("exact", None), ("sampled", 10)])

@@ -6,7 +6,7 @@ from subsens import (FunctionSpec, OrdinalSchedule, build_function, greedy_rule,
                      proportional_greedy_rule, randomized_greedy_rule,
                      run_sequential, sampled_output_distribution)
 from subsens.algorithms import independent_sequential
-from subsens.sensitivity import _sampled_with_key
+from subsens.distributions import _sample as _sampled_with_key
 
 K = 3
 SEEDS = (0, 1, 7)
