@@ -78,9 +78,15 @@ class DecisionRule:
     ``probabilities`` returns the sparse support as (element, probability)
     pairs in ascending id order, each probability > 0, summing to 1 within
     1e-12; elements of S and outside ``allowed`` never appear.
+
+    ``equivariant`` declares that relabelling elements inside a block of
+    the oracle permutes the rule's output the same way; exact sensitivity
+    scans then measure one deletion per run of the blocks.  It defaults to
+    False, and a rule that breaks ties by element id must leave it so.
     """
 
     name = "rule"
+    equivariant = False
 
     def probabilities(self, oracle: ValueOracle, current: int, k: int,
                       allowed: Optional[int] = None) -> list[tuple[int, float]]:
@@ -124,6 +130,7 @@ class ProportionalGreedyRule(DecisionRule):
     are zero (the run must still emit k elements)."""
 
     name = "proportional"
+    equivariant = True
 
     def probabilities(self, oracle, current, k, allowed=None):
         cands, margs = _marginals(oracle, current, allowed)

@@ -16,7 +16,10 @@ and a few flag elements declare their blocks in ``build_function``;
 ``restrict`` carries them through a deletion.  Blocks are kept as runs of
 consecutive ids, so gains come out in id order and greedy's lowest-id tie
 rule picks what a per-element scan picks.  An oracle without blocks treats
-every element as its own block, so its calls are unchanged.
+every element as its own block, so its calls are unchanged.  Blocks are a
+contract that nothing checks at run time: exact sensitivity scans with an
+equivariant rule also copy one deletion's measurement to its whole run, so
+blocks that are not exactly invariant give wrong values without any error.
 """
 
 from __future__ import annotations

@@ -5,6 +5,15 @@ Sensitivity of an algorithm on f is the (max or mean over deleted elements
 e of the) earth mover's distance between the output distributions on f and
 on f with e removed.  EMD is always computed in the original id space: the
 deleted element simply never appears in the restricted run's support.
+
+Deletion orbits: an exact scan whose rule declares ``equivariant = True``
+on an oracle with ``blocks`` measures the first scanned member of each run
+of the blocks and gives the run's other scanned members the same
+restricted run and EMD.  Non-equivariant rules, ordinal schedules, oracles
+without blocks and every sampled scan (each deletion draws its own stream,
+keyed ``(seed, 1, e)``) measure each deletion on its own.  Blocks are taken
+on trust: an oracle whose declared blocks are not exactly invariant gets
+wrong orbit values without any error.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 from .algorithms import derive_rng
 from .distributions import (Algorithm, OutputDistribution, _sample,
                             exact_output_distribution, DEFAULT_NODE_BUDGET)
-from .oracle import InvalidElementError, ValueOracle, restrict
+from .oracle import InvalidElementError, ValueOracle, ids_of, restrict
 from .transport import emd, inclusion_probability_lower_bound
 
 
@@ -149,24 +158,52 @@ def _bootstrap_halfwidth(d1: OutputDistribution, d2: OutputDistribution,
 
 
 def _measure_element(alg, oracle, k, e, base_dist, mode, trials, seed,
-                     p_min, node_budget, bootstrap) -> ElementSensitivity:
+                     p_min, node_budget, bootstrap, measured=None):
+    """Measure the deletion of e; returns the result and (the restricted
+    run's distribution in its local ids, its EMD).
+
+    ``measured`` is that pair from another member of e's orbit: the run
+    and the EMD are then reused, and only the remapping and the inclusion
+    bound are computed for e.  The bound sums in e's own id order, which
+    can move its last bit, so it is not copied.
+    """
     reduced = restrict(oracle, e)
-    # at k = n only n - 1 elements remain: the run selects all of them, as
-    # a run does when its ``allowed`` pool is smaller than k
-    k_reduced = min(k, reduced.n)
-    if mode == "exact":
-        d2 = exact_output_distribution(alg, reduced, k_reduced, p_min=p_min,
-                                       node_budget=node_budget)
+    if measured is None:
+        # at k = n only n - 1 elements remain: the run selects all of them,
+        # as a run does when its ``allowed`` pool is smaller than k
+        k_reduced = min(k, reduced.n)
+        if mode == "exact":
+            local = exact_output_distribution(alg, reduced, k_reduced, p_min=p_min,
+                                              node_budget=node_budget)
+        else:
+            local = _sample(alg, reduced, k_reduced, trials, (seed, 1, e))
+        d2 = local.remapped(reduced.index_map, oracle.n)
+        value = float(emd(base_dist, d2)[0])
     else:
-        d2 = _sample(alg, reduced, k_reduced, trials, (seed, 1, e))
-    d2 = d2.remapped(reduced.index_map, oracle.n)
-    value, _ = emd(base_dist, d2)
-    value = float(value)
+        local, value = measured
+        d2 = local.remapped(reduced.index_map, oracle.n)
     lb = float(inclusion_probability_lower_bound(base_dist, d2))
     half = None
     if mode == "sampled":
         half = _bootstrap_halfwidth(base_dist, d2, bootstrap, (seed, 2, e))
-    return ElementSensitivity(e, value, lb, mode, trials if mode == "sampled" else None, half)
+    result = ElementSensitivity(e, value, lb, mode,
+                                trials if mode == "sampled" else None, half)
+    return result, (local, value)
+
+
+def _deletion_orbits(alg, oracle, mode) -> dict[int, int]:
+    """The run of ``oracle.blocks`` holding each element when the deletions
+    of one run share a measurement; empty when none do.
+
+    Deleting e or e' of one run leaves the same restricted function, so
+    the restricted runs agree in local ids.  An equivariant rule's base
+    distribution is invariant under the permutation of the run that maps
+    one deletion distribution to the other, so the EMDs agree too.
+    """
+    if (mode != "exact" or oracle.blocks is None
+            or not getattr(alg, "equivariant", False)):
+        return {}
+    return {e: run for run in oracle.blocks for e in ids_of(run)}
 
 
 def _sensitivity_scan(alg, oracle, k, mode, seed, trials, elements, p_min,
@@ -175,10 +212,19 @@ def _sensitivity_scan(alg, oracle, k, mode, seed, trials, elements, p_min,
         elements = list(range(oracle.n))
     base = _distribution(alg, oracle, k, mode, trials, (seed, 0),
                          p_min, node_budget)
-    results = [_measure_element(alg, oracle, k, e, base, mode, trials,
-                                seed, p_min, node_budget, bootstrap)
-               for e in elements]
-    results.sort(key=lambda r: r.element)
+    # in id order the members of a run come one after another, so only the
+    # last run's measurement is kept
+    run_of = _deletion_orbits(alg, oracle, mode)
+    last_run = measured = None
+    results = []
+    for e in sorted(elements):
+        run = run_of.get(e)
+        if run is None or run != last_run:
+            measured = None
+        result, measured = _measure_element(alg, oracle, k, e, base, mode, trials,
+                                            seed, p_min, node_budget, bootstrap, measured)
+        last_run = run
+        results.append(result)
     report = SensitivityReport(
         algorithm=alg_name or getattr(alg, "name", type(alg).__name__),
         function=oracle.name, n=oracle.n, k=k, mode=mode,

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsens import (FunctionSpec, attach_bounds, average_sensitivity,
                      bound_pA_pB, bound_prop_greedy_approx,
                      bound_prop_greedy_sensitivity,
                      bound_prop_greedy_sensitivity_lb, bound_randgreedy_lb,
-                     build_function, greedy_rule,
-                     proportional_greedy_rule, randomized_greedy_rule,
-                     sampled_output_distribution, worst_case_sensitivity)
+                     build_function, emd, greedy_rule, ids_of,
+                     inclusion_probability_lower_bound,
+                     proportional_greedy_rule, randomized_greedy_rule, restrict,
+                     sampled_output_distribution, shipped_default_specs,
+                     worst_case_sensitivity)
+from subsens import sensitivity
 from subsens.algorithms import (KOutOfRangeError, OrdinalSchedule, derive_rng,
                                 independent_sequential, run_sequential,
                                 schedule_step_support)
@@ -320,11 +324,130 @@ def test_schedule_shorter_than_run_rejected_on_every_path():
 @pytest.mark.parametrize("mode, trials", [("exact", None), ("sampled", 10)])
 def test_scan_at_k_equal_n_selects_every_remaining_element(mode, trials):
     # k = n is in range; each deletion leaves n - 1 elements, all selected,
-    # so every deletion moves the output by exactly one element
-    f = modular(3, 2, 1)
-    for rule in (proportional_greedy_rule(), randomized_greedy_rule()):
-        report = worst_case_sensitivity(rule, f, 3, mode=mode, trials=trials)
-        assert [r.emd for r in report.per_element] == pytest.approx([1.0] * 3, abs=1e-12)
+    # so every deletion moves the output by exactly one element; greedi_lb
+    # declares blocks, so its exact proportional scan shares a measurement
+    # per run
+    for f in (modular(3, 2, 1), build_function(FunctionSpec("greedi_lb", n=6, c=0.5))):
+        for rule in (proportional_greedy_rule(), randomized_greedy_rule()):
+            report = worst_case_sensitivity(rule, f, f.n, mode=mode, trials=trials)
+            assert [r.emd for r in report.per_element] == pytest.approx([1.0] * f.n,
+                                                                       abs=1e-12)
+
+
+# --- deletion orbits --------------------------------------------------------
+
+
+# every shipped family, and a head split into two runs by its forced
+# element (one declared block, two runs)
+ORBIT_SPECS = shipped_default_specs(10) + [FunctionSpec("framework_lb", n=10, k=3, c=0.5, j=2)]
+ORBIT_ALGS = {"greedy": lambda k: greedy_rule(),
+              "randgreedy": lambda k: randomized_greedy_rule(),
+              "proportional": lambda k: proportional_greedy_rule(),
+              "schedule": OrdinalSchedule.randomized_greedy}
+
+
+def plain_scan(alg, f, k):
+    """Per-element reference: one restricted run and one EMD per deletion."""
+    base = exact_output_distribution(alg, f, k)
+    rows = []
+    for e in range(f.n):
+        reduced = restrict(f, e)
+        d2 = exact_output_distribution(alg, reduced, min(k, reduced.n)).remapped(
+            reduced.index_map, f.n)
+        rows.append((e, float(emd(base, d2)[0]),
+                     float(inclusion_probability_lower_bound(base, d2)), "exact"))
+    return rows
+
+
+def assert_report_matches(report, rows):
+    assert [(r.element, r.emd, r.inclusion_lb, r.mode) for r in report.per_element] == rows
+    worst = max(rows, key=lambda r: (r[1], -r[0]))
+    assert report.worst_case == worst[1]
+    assert report.worst_element == worst[0]
+    assert report.average == sum(r[1] for r in rows) / len(rows)
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_ALGS))
+@pytest.mark.parametrize("spec", ORBIT_SPECS,
+                         ids=[f"{s.family}-j{s.j}" if s.j else s.family for s in ORBIT_SPECS])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_orbit_scan_matches_per_element_scan(spec, name, data):
+    f = build_function(spec)
+    k = data.draw(st.integers(1, 4))
+    alg = ORBIT_ALGS[name](k)
+    rows = plain_scan(alg, f, k)
+    assert_report_matches(average_sensitivity(alg, f, k), rows)
+    assert_report_matches(worst_case_sensitivity(alg, f, k), rows)
+    # each run of two or more on its own: every member after the first
+    # takes the shared measurement
+    for run in f.blocks or ():
+        if run & (run - 1):
+            members = ids_of(run)
+            assert_report_matches(worst_case_sensitivity(alg, f, k, elements=members),
+                                  [rows[e] for e in members])
+    elements = data.draw(st.one_of(
+        st.sampled_from(range(f.n)).map(lambda e: [e]),
+        st.lists(st.sampled_from(range(f.n)), min_size=2, unique=True)))
+    report = worst_case_sensitivity(alg, f, k, elements=elements)
+    assert_report_matches(report, [rows[e] for e in sorted(elements)])
+
+
+def count_scan_calls(monkeypatch, n):
+    """Count the restricted runs and EMDs a scan makes, through the module
+    attributes the scan looks up at call time."""
+    calls = {"base": 0, "restricted": 0, "emd": 0}
+
+    def counting_dp(alg, oracle, k, **kwargs):
+        calls["restricted" if oracle.n < n else "base"] += 1
+        return exact_output_distribution(alg, oracle, k, **kwargs)
+
+    def counting_emd(d1, d2, **kwargs):
+        calls["emd"] += 1
+        return emd(d1, d2, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "exact_output_distribution", counting_dp)
+    monkeypatch.setattr(sensitivity, "emd", counting_emd)
+    return calls
+
+
+@pytest.mark.parametrize("spec, rule, expected", [
+    # runs {e_1}, e_2..e_5 and e_6..e_10: one measurement each
+    (FunctionSpec("greedi_lb", n=10, c=0.5), proportional_greedy_rule(), (1, 3, 3)),
+    # no declared blocks: every deletion is measured
+    (FunctionSpec("modular", n=10, weights=tuple(float(10 - i) for i in range(10))),
+     proportional_greedy_rule(), (1, 10, 10)),
+    # greedy breaks ties by lowest id, so it is not equivariant
+    (FunctionSpec("greedi_lb", n=10, c=0.5), greedy_rule(), (1, 10, 10)),
+], ids=["proportional-greedi_lb", "proportional-modular", "greedy-greedi_lb"])
+def test_exact_scan_measures_once_per_orbit(monkeypatch, spec, rule, expected):
+    f = build_function(spec)
+    calls = count_scan_calls(monkeypatch, f.n)
+    worst_case_sensitivity(rule, f, 4)
+    assert (calls["base"], calls["restricted"], calls["emd"]) == expected
+
+
+def test_sampled_scan_draws_one_stream_per_element(monkeypatch):
+    f = build_function(FunctionSpec("greedi_lb", n=10, c=0.5))
+    keys = []
+
+    def recording_sample(alg, oracle, k, trials, key):
+        keys.append(key)
+        return _sampled_with_key(alg, oracle, k, trials, key)
+
+    monkeypatch.setattr(sensitivity, "_sample", recording_sample)
+    calls = count_scan_calls(monkeypatch, f.n)
+    worst_case_sensitivity(proportional_greedy_rule(), f, 4, mode="sampled",
+                           trials=50, seed=3, elements=[1, 2], bootstrap=0)
+    assert keys == [(3, 0), (3, 1, 1), (3, 1, 2)]
+    assert calls["emd"] == 2
+
+
+def test_only_proportional_rule_declares_equivariance():
+    assert proportional_greedy_rule().equivariant
+    assert not greedy_rule().equivariant
+    assert not randomized_greedy_rule().equivariant
+    assert not hasattr(OrdinalSchedule.randomized_greedy(3), "equivariant")
 
 
 # --- report mechanics -------------------------------------------------------
