@@ -80,9 +80,11 @@ class DecisionRule:
     1e-12; elements of S and outside ``allowed`` never appear.
 
     ``equivariant`` declares that relabelling elements inside a block of
-    the oracle permutes the rule's output the same way; exact sensitivity
-    scans then measure one deletion per run of the blocks.  It defaults to
-    False, and a rule that breaks ties by element id must leave it so.
+    the oracle permutes the rule's output the same way; the exact level DP
+    then evaluates the rule once per signature in each level, and exact
+    sensitivity scans measure one deletion per run of the blocks.  It
+    defaults to False, and a rule that breaks ties by element id must leave
+    it so.
     """
 
     name = "rule"

@@ -2,21 +2,28 @@
 exactly by execution-tree enumeration or empirically by sampling, plus the
 per-step selection profile p_i(e) / P_i(e).
 
-The exact enumerator is a level-by-level forward DP memoized on the
-unordered current set: every supported rule depends only on (oracle, S),
-and schedules only add the step index, which equals |S| + 1.
+The exact enumerator is a level-by-level forward DP whose nodes are the
+unordered current sets: every supported rule depends only on (oracle, S),
+and schedules only add the step index, which equals |S| + 1.  A rule
+marked ``equivariant`` on an oracle with ``blocks`` is evaluated once per
+signature (the set's count in each run of the blocks) in each level, and
+the other sets of that signature take its probabilities for their own
+members.  Exact distributions of such rules therefore rely on the blocks
+being exactly invariant: blocks that are not give wrong distributions
+without any error.  Other rules, schedules and oracles without blocks are
+evaluated at every node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .algorithms import (DecisionRule, OrdinalSchedule, _check_k, derive_rng,
                          schedule_step_support)
-from .oracle import ValueOracle, GroundSet
+from .oracle import ValueOracle, GroundSet, ids_of
 
 Algorithm = Union[DecisionRule, OrdinalSchedule]
 
@@ -34,6 +41,10 @@ class OutputDistribution:
 
     mode is "exact" (enumerated; probabilities sum to 1 within 1e-9 minus
     any pruned mass, which is recorded) or "empirical" (counts / trials).
+    An exact distribution also records what its level DP cost: the nodes
+    expanded in each level and the rule evaluations made, fewer than the
+    nodes where sets share a signature.  Both stay out of comparisons and
+    of ``to_csv``; sampled distributions leave them empty.
     """
 
     n: int
@@ -42,6 +53,8 @@ class OutputDistribution:
     mode: str = "exact"
     trials: Optional[int] = None
     lost_mass: float = 0.0
+    nodes_per_level: tuple[int, ...] = field(default=(), compare=False)
+    rule_evals: int = field(default=0, compare=False)
 
     def validate(self, tol: float = 1e-9):
         sizes = {mask.bit_count() for mask in self.probs}
@@ -82,7 +95,8 @@ class OutputDistribution:
                 out |= 1 << index_map[b.bit_length() - 1]
                 m ^= b
             remapped[out] = remapped.get(out, 0.0) + p
-        return OutputDistribution(n, self.k, remapped, self.mode, self.trials, self.lost_mass)
+        return OutputDistribution(n, self.k, remapped, self.mode, self.trials, self.lost_mass,
+                                  self.nodes_per_level, self.rule_evals)
 
     def to_csv(self) -> str:
         """One row per support set; a pruned distribution ends with a
@@ -124,27 +138,61 @@ def _step_support(alg: Algorithm, oracle: ValueOracle, current: int, step: int,
 
 def _level_dp(alg: Algorithm, oracle: ValueOracle, k: int, node_budget: int,
               p_min: float, start_mask: int, allowed: Optional[int],
-              profile: Optional[np.ndarray] = None) -> tuple[int, dict[int, float], float]:
+              profile: Optional[np.ndarray] = None
+              ) -> tuple[dict[int, float], float, tuple[int, ...], int]:
     """Forward DP over the unordered current set, one level per step.
 
-    Runs min(k, |pool minus start_mask|) steps and returns (steps, final
-    level, pruned mass).  When ``profile`` is given, row i-1 accumulates
-    the mass of every step-i branch, pruned ones included.
+    Runs min(k, |pool minus start_mask|) steps and returns (final level,
+    pruned mass, nodes expanded per level, rule evaluations).  When
+    ``profile`` is given, row i-1 accumulates the mass of every step-i
+    branch, pruned ones included.
+
+    An equivariant rule on an oracle with blocks is evaluated once per
+    signature in each level and its pairs are kept as (run, probability);
+    every other set of that signature gives the probability to each of its
+    own remaining members of the run, in id order.  Members of a run share
+    their gain bit for bit, and so their probability.  The counts of the
+    current set fix those of the remaining pool, since start_mask minus
+    ``allowed`` is in every node.
     """
     GroundSet(oracle.n).require_exact()
     pool = allowed if allowed is not None else oracle.full_mask
     steps = _check_k(alg, oracle, k, pool & ~start_mask)
+    runs = oracle.blocks if getattr(alg, "equivariant", False) else None
+    run_of = {e: run for run in runs for e in ids_of(run)} if runs else {}
     level = {start_mask: 1.0}
     budget = node_budget
     lost = 0.0
+    nodes = []
+    evals = 0
     for step in range(1, steps + 1):
         # hold the finished level as two flat lists, not a hash table,
         # while the next one grows: it takes a fraction of the memory
         currents = sorted(level)
         masses = [level[c] for c in currents]
         level = {}
+        nodes.append(len(currents))
+        memo: dict[Optional[int], list[tuple[int, float]]] = {}
         for current, q in zip(currents, masses):
-            pairs = _step_support(alg, oracle, current, step, k, allowed)
+            sig = oracle.signature(current) if runs else None
+            shared = memo.get(sig)
+            if shared is None:
+                pairs = _step_support(alg, oracle, current, step, k, allowed)
+                evals += 1
+                if runs:
+                    shared = memo[sig] = []
+                    for e, p in pairs:
+                        if not shared or shared[-1][0] != run_of[e]:
+                            shared.append((run_of[e], p))
+            else:
+                pairs = []
+                rem = pool & ~current
+                for run, p in shared:
+                    m = run & rem
+                    while m:
+                        b = m & -m
+                        pairs.append((b.bit_length() - 1, p))
+                        m ^= b
             budget -= len(pairs)
             if budget < 0:
                 raise NodeBudgetExceededError(
@@ -159,7 +207,7 @@ def _level_dp(alg: Algorithm, oracle: ValueOracle, k: int, node_budget: int,
                     continue
                 key = current | (1 << e)
                 level[key] = level.get(key, 0.0) + mass
-    return steps, level, lost
+    return level, lost, tuple(nodes), evals
 
 
 def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
@@ -174,10 +222,11 @@ def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
     leaves) are then selected.  k outside 1..n raises ``KOutOfRangeError``,
     as in ``run_sequential``.
     """
-    steps, level, lost = _level_dp(alg, oracle, k, node_budget, p_min,
-                                   start_mask, allowed)
-    dist = OutputDistribution(oracle.n, steps + start_mask.bit_count(), level,
-                              mode="exact", lost_mass=lost)
+    level, lost, nodes, evals = _level_dp(alg, oracle, k, node_budget, p_min,
+                                          start_mask, allowed)
+    dist = OutputDistribution(oracle.n, len(nodes) + start_mask.bit_count(), level,
+                              mode="exact", lost_mass=lost, nodes_per_level=nodes,
+                              rule_evals=evals)
     return dist.validate()
 
 
@@ -277,8 +326,8 @@ def selection_profile(alg: Algorithm, oracle: ValueOracle, k: int, *,
                       allowed: Optional[int] = None) -> SelectionProfile:
     """p_i(e) = sum over reach-probability-weighted per-step rule masses."""
     p = np.zeros((min(k, oracle.n), oracle.n))
-    steps, _, lost = _level_dp(alg, oracle, k, node_budget, p_min, 0, allowed,
-                               profile=p)
-    p = p[:steps]
-    prof = SelectionProfile(oracle.n, steps, p, np.cumsum(p, axis=0), lost_mass=lost)
+    _, lost, nodes, _ = _level_dp(alg, oracle, k, node_budget, p_min, 0, allowed,
+                                  profile=p)
+    p = p[:len(nodes)]
+    prof = SelectionProfile(oracle.n, len(nodes), p, np.cumsum(p, axis=0), lost_mass=lost)
     return prof.validate()

@@ -16,10 +16,14 @@ and a few flag elements declare their blocks in ``build_function``;
 ``restrict`` carries them through a deletion.  Blocks are kept as runs of
 consecutive ids, so gains come out in id order and greedy's lowest-id tie
 rule picks what a per-element scan picks.  An oracle without blocks treats
-every element as its own block, so its calls are unchanged.  Blocks are a
-contract that nothing checks at run time: exact sensitivity scans with an
-equivariant rule also copy one deletion's measurement to its whole run, so
-blocks that are not exactly invariant give wrong values without any error.
+every element as its own block, so its calls are unchanged.
+``ValueOracle.signature`` packs a set's count in each run into one int.
+Blocks are a contract that nothing checks at run time: exact output
+distributions of an equivariant rule evaluate it once per signature in
+each DP level, and exact sensitivity scans with such a rule copy one
+deletion's measurement to its whole run.  Blocks that are not exactly
+invariant therefore give wrong distributions, and wrong scan values,
+without any error.
 """
 
 from __future__ import annotations
@@ -191,6 +195,23 @@ class ValueOracle:
                 b = members & -members
                 out.append((b.bit_length() - 1, value(current | b) - base, members))
         return out
+
+    def signature(self, mask: int) -> int:
+        """The count of ``mask`` in each run of ``blocks``, packed into one
+        int, n.bit_length() bits per run in run order.
+
+        Two masks share a signature exactly when a permutation inside the
+        runs maps one onto the other, so f takes one value on them.  An
+        oracle without blocks returns ``mask``: every element is its own
+        run.
+        """
+        if self.blocks is None:
+            return mask
+        width = self.n.bit_length()
+        sig = 0
+        for run in reversed(self.blocks):
+            sig = (sig << width) | (mask & run).bit_count()
+        return sig
 
     def to_original_ids(self, mask: int) -> int:
         """Translate a local-id mask into original ground-set ids."""

@@ -1,6 +1,8 @@
 """Exact enumeration, sampling, and selection profiles."""
 
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from subsens import (FunctionSpec, OrdinalSchedule, build_function,
                      independent_sequential, proportional_greedy_rule,
                      randomized_greedy_rule, run_sequential,
                      sampled_output_distribution, selection_profile,
-                     shipped_default_specs, deterministic_greedy, tv_distance,
-                     worst_case_sensitivity)
+                     shipped_default_specs, deterministic_greedy, restrict,
+                     tv_distance, worst_case_sensitivity)
 from subsens.algorithms import IndexBeyondRemainingError, schedule_step_support
-from subsens.distributions import NodeBudgetExceededError, OutputDistribution
+from subsens.distributions import (DEFAULT_NODE_BUDGET, NodeBudgetExceededError,
+                                   OutputDistribution, _level_dp)
+from subsens.oracle import ValueOracle, ids_of
 
 from _oracles import ordered_selection_enumeration
 
@@ -135,6 +139,141 @@ def test_pruning_reports_lost_mass():
     d = exact_output_distribution(proportional_greedy_rule(), f, 4, p_min=1e-6)
     assert 0 < d.lost_mass < 1e-2
     assert sum(d.probs.values()) == pytest.approx(1.0 - d.lost_mass, abs=1e-9)
+
+
+# --- signature memo ---------------------------------------------------------
+
+
+def test_dp_records_nodes_per_level_and_rule_evals():
+    f = build_function(FunctionSpec("prop_lb", n=12))
+    d = exact_output_distribution(proportional_greedy_rule(), f, 5)
+    # every set of up to four elements is reached
+    assert d.nodes_per_level == tuple(math.comb(12, i) for i in range(5))
+    # runs {e_1}, e_2..e_6 and six singletons: sets of size 0..4 have
+    # 1 + 8 + 29 + 64 + 99 distinct per-run counts
+    assert d.rule_evals == 201
+    by_size = {}
+    for mask in range(1 << 12):
+        if mask.bit_count() < 5:
+            by_size.setdefault(mask.bit_count(), set()).add(
+                tuple((mask & run).bit_count() for run in f.blocks))
+    assert [len(by_size[i]) for i in range(5)] == [1, 8, 29, 64, 99]
+    # rules not marked equivariant, and oracles without blocks, are
+    # evaluated at every node
+    for rule, nodes in ((greedy_rule(), (1,) * 5),
+                        (randomized_greedy_rule(), (1, 5, 19, 60, 155))):
+        g = exact_output_distribution(rule, f, 5)
+        assert g.nodes_per_level == nodes and g.rule_evals == sum(nodes)
+    plain = ValueOracle(f.n, f._fn, check_empty=False)
+    assert plain.signature(0b1011) == 0b1011
+    u = exact_output_distribution(proportional_greedy_rule(), plain, 5)
+    assert u == d and u.rule_evals == sum(u.nodes_per_level) == 794
+    # carried through remapped; not compared, not written to the CSV
+    reduced = restrict(f, 3)
+    local = exact_output_distribution(proportional_greedy_rule(), reduced, 5)
+    moved = local.remapped(reduced.index_map, f.n)
+    assert (moved.nodes_per_level, moved.rule_evals) == (local.nodes_per_level,
+                                                         local.rule_evals)
+    bare = replace(d, nodes_per_level=(), rule_evals=0)
+    assert bare == d and bare.to_csv() == d.to_csv()
+    s = sampled_output_distribution(proportional_greedy_rule(), f, 5, trials=20, seed=0)
+    assert (s.nodes_per_level, s.rule_evals) == ((), 0)
+
+
+def test_signature_memo_is_scoped_to_one_call():
+    # a memo kept on the oracle or across calls would make the later
+    # calls on one oracle cheaper than the same call on a fresh oracle
+    spec = FunctionSpec("prop_lb", n=10)
+    rule = proportional_greedy_rule()
+    calls = (lambda f: exact_output_distribution(rule, f, 4),
+             lambda f: selection_profile(rule, f, 4))
+    fresh = []
+    for call in calls:
+        f = build_function(spec)
+        call(f)
+        fresh.append(f.calls)
+    shared = build_function(spec)
+    for call, expected in zip(calls, fresh):
+        for _ in range(2):
+            before = shared.calls
+            call(shared)
+            assert shared.calls - before == expected
+    d = exact_output_distribution(rule, shared, 4)
+    assert d.rule_evals < sum(d.nodes_per_level)
+
+
+BLOCKED_SPECS = [s for s in shipped_default_specs(8) if build_function(s).blocks]
+MEMO_RULES = {"greedy": greedy_rule, "randgreedy": randomized_greedy_rule,
+              "proportional": proportional_greedy_rule}
+
+
+def per_node(rule):
+    """The same rule with the signature memo off."""
+    plain = copy.copy(rule)
+    plain.equivariant = False
+    return plain
+
+
+def dp_outcome(alg, oracle, k, budget, p_min, start, allowed):
+    profile = np.zeros((min(k, oracle.n), oracle.n))
+    try:
+        level, lost, nodes, _ = _level_dp(alg, oracle, k, budget, p_min, start,
+                                          allowed, profile)
+    except NodeBudgetExceededError as exc:
+        return str(exc)
+    return list(level.items()), lost, nodes, profile.tolist()
+
+
+def lowest_members(oracle, mask):
+    """The set with mask's count in each run, made of each run's lowest ids."""
+    out = 0
+    for run in oracle.blocks:
+        out |= sum(1 << e for e in ids_of(run)[:(mask & run).bit_count()])
+    return out
+
+
+def moved(oracle, pairs, current):
+    """Pairs given per run to current's own remaining members, in id order."""
+    run_of = {e: run for run in oracle.blocks for e in ids_of(run)}
+    return [(e, p) for run, p in dict.fromkeys((run_of[e], p) for e, p in pairs)
+            for e in ids_of(run & ~current)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(spec=st.sampled_from(BLOCKED_SPECS), name=st.sampled_from(sorted(MEMO_RULES)),
+       deleted=st.lists(st.integers(0, 11), max_size=2), k=st.integers(2, 5),
+       pool=st.one_of(st.none(), st.integers(0, 2**12 - 1)),
+       start=st.lists(st.integers(0, 11), max_size=2),
+       p_min=st.sampled_from([0.0, 1e-3, 0.02, 0.1]),
+       budget=st.one_of(st.just(DEFAULT_NODE_BUDGET), st.integers(1, 300)),
+       mask=st.integers(0, 2**12 - 1), other=st.integers(0, 2**12 - 1),
+       flip=st.integers(0, 11))
+def test_signature_memo_matches_per_node_dp(spec, name, deleted, k, pool, start,
+                                            p_min, budget, mask, other, flip):
+    f = build_function(spec)
+    for e in deleted:
+        f = restrict(f, e % f.n)
+    full = f.full_mask
+    mask, other = mask & full, other & full
+    # all sets of one DP level have one size, so a signature that drops a
+    # run still keys the memo right; check it on masks of any size
+    counts = [(mask & run).bit_count() for run in f.blocks]
+    assert f.signature(mask) == f.signature(lowest_members(f, mask))
+    assert f.signature(mask) != f.signature(mask ^ (1 << flip % f.n))
+    assert (f.signature(mask) == f.signature(other)) == (
+        counts == [(other & run).bit_count() for run in f.blocks])
+    rule = MEMO_RULES[name]()
+    if rule.equivariant and mask != full:
+        # what the memo relies on: at the lowest members of mask's counts
+        # the rule gives each run's probability to mask's own remaining
+        # members of the run.  A greedy DP has one node per level, so only
+        # this shows a tie-breaking rule wrongly marked equivariant.
+        at_lowest = rule.probabilities(f, lowest_members(f, mask), k)
+        assert moved(f, at_lowest, mask) == rule.probabilities(f, mask, k)
+    allowed = None if pool is None else pool & full
+    start_mask = sum({1 << e % f.n for e in start})
+    args = (f, k, budget, p_min, start_mask, allowed)
+    assert dp_outcome(rule, *args) == dp_outcome(per_node(rule), *args)
 
 
 # --- sampling ---------------------------------------------------------------
