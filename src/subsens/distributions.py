@@ -60,8 +60,8 @@ class OutputDistribution:
         sizes = {mask.bit_count() for mask in self.probs}
         if len(sizes) > 1:
             raise ValueError(f"support mixes set sizes {sorted(sizes)}")
-        if any(p < 0 for p in self.probs.values()):
-            raise ValueError("negative probability")
+        if not all(p >= 0 for p in self.probs.values()):
+            raise ValueError("negative or NaN probability")
         total = sum(self.probs.values())
         if abs(total + self.lost_mass - 1.0) > tol:
             raise ValueError(f"probabilities sum to {total} (lost {self.lost_mass})")

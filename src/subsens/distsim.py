@@ -136,18 +136,19 @@ def greedi(oracle: ValueOracle, k: int, m: int, seed: int) -> tuple[int, DistTra
     partials = []
     for i, shard in enumerate(shards, start=1):
         sol = _run_base(None, oracle, k, shard, (seed, 1, 1, i))
-        partials.append(sol)
-        trace.rows.append(DistTraceRow(1, 1, i, shard.bit_count(), sol,
-                                       oracle.value(sol), shard=shard))
+        row = DistTraceRow(1, 1, i, shard.bit_count(), sol, oracle.value(sol), shard=shard)
+        partials.append(row)
+        trace.rows.append(row)
     union = 0
-    for sol in partials:
-        union |= sol
+    for row in partials:
+        union |= row.solution
     merged = _run_base(None, oracle, k, union, (seed, 2, 1, 0))
+    best_value = oracle.value(merged)
     trace.rows.append(DistTraceRow(2, 1, 0, union.bit_count(), merged,
-                                   oracle.value(merged), shard=union))
-    best, best_value = merged, oracle.value(merged)
-    for sol in partials:
-        v = oracle.value(sol)
+                                   best_value, shard=union))
+    best = merged
+    for row in partials:
+        sol, v = row.solution, row.value
         if v > best_value:
             best, best_value = sol, v
         elif v == best_value and sol != best:
@@ -172,17 +173,17 @@ def barbosa_framework(oracle: ValueOracle, k: int, cfg: MpcConfig,
     pool = 0
     best, best_value = 0, float("-inf")
     for r in range(1, cfg.rounds + 1):
-        round_solutions = []
+        round_rows = []
         for g in range(1, cfg.groups + 1):
             shards = _partition(oracle.n, cfg.machines, derive_rng(seed, r, g, 0))
             for i, shard in enumerate(shards, start=1):
                 allowed = shard | pool
                 sol = _run_base(base, oracle, k, allowed, (seed, r, g, i))
-                round_solutions.append(sol)
-                trace.rows.append(DistTraceRow(r, g, i, shard.bit_count(), sol,
+                round_rows.append(DistTraceRow(r, g, i, shard.bit_count(), sol,
                                                oracle.value(sol), shard=shard))
-        for sol in round_solutions:
-            v = oracle.value(sol)
+        trace.rows += round_rows
+        for row in round_rows:
+            sol, v = row.solution, row.value
             if v > best_value:
                 best, best_value = sol, v
             pool |= sol

@@ -293,8 +293,7 @@ def suite_randgreedy_lb(seed: int = 0) -> SuiteResult:
         oracle = build_function(FunctionSpec("randgreedy_lb", n=n, k=k))
         rule = randomized_greedy_rule()
         d1 = exact_output_distribution(rule, oracle, k)
-        reduced = restrict(oracle, 0)
-        d2 = exact_output_distribution(rule, reduced, k).remapped(reduced.index_map, oracle.n)
+        d2 = exact_output_distribution(rule, oracle, k, allowed=oracle.full_mask & ~1)
         value, _ = emd(d1, d2)
         bound = bound_randgreedy_lb(k)
         result.add("emd_ge_closed_form", f"k={k};n={n}", value, bound, ">= (-1e-9)",
@@ -322,8 +321,7 @@ def suite_prop_lb(seed: int = 0) -> SuiteResult:
         p1 = sum(p for m, p in sorted(d1.probs.items()) if m & ~first_block == 0)
         result.add("claim_first_block", f"n={n};k={k};delta={delta!r}", p1,
                    1.0 - delta, ">", p1 > 1.0 - delta)
-        reduced = restrict(oracle, 0)
-        d2 = exact_output_distribution(rule, reduced, k).remapped(reduced.index_map, n)
+        d2 = exact_output_distribution(rule, oracle, k, allowed=oracle.full_mask & ~1)
         second_block = ((1 << n) - 1) ^ first_block
         p2 = sum(p for m, p in sorted(d2.probs.items()) if m & ~second_block == 0)
         result.add("claim_second_block", f"n={n};k={k};delta={delta!r}", p2,
@@ -343,8 +341,8 @@ def random_coverage_instance(n: int, seed: int, universe: int = 16) -> ValueOrac
     """Random weighted-coverage plus modular mixture; monotone submodular."""
     rng = derive_rng(seed, 0xC07)
     covers = [int(rng.integers(0, 1 << universe)) for _ in range(n)]
-    item_w = rng.uniform(0.2, 1.0, size=universe)
-    unit_w = rng.uniform(0.0, 0.4, size=n)
+    item_w = rng.uniform(0.2, 1.0, size=universe).tolist()
+    unit_w = rng.uniform(0.0, 0.4, size=n).tolist()
 
     def fn(mask: int) -> float:
         covered = 0
@@ -548,7 +546,7 @@ def _random_subset_distribution(rng, n, k, support) -> OutputDistribution:
         masks.add(int(sum(1 << int(e) for e in ids)))
     probs = rng.random(len(masks))
     probs = probs / probs.sum()
-    return OutputDistribution(n, k, dict(zip(sorted(masks), probs)))
+    return OutputDistribution(n, k, dict(zip(sorted(masks), probs.tolist())))
 
 
 def suite_emd_solver(seed: int = 0) -> SuiteResult:
@@ -732,6 +730,7 @@ def _cmd_emd(args) -> int:
     for d in (d1, d2):
         if any(mask >> args.n for mask in d.probs):
             raise ConfigParseError("distribution support exceeds declared ground size")
+        d.validate()
     value, plan = emd(d1, d2)
     print(f"emd = {value!r}")
     print(f"support = {len(plan.sources)}x{len(plan.targets)}, "

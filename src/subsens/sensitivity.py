@@ -3,17 +3,20 @@ bound the analysis provides for side-by-side comparison.
 
 Sensitivity of an algorithm on f is the (max or mean over deleted elements
 e of the) earth mover's distance between the output distributions on f and
-on f with e removed.  EMD is always computed in the original id space: the
-deleted element simply never appears in the restricted run's support.
+on f with e removed.  f with e removed is run on f itself with the pool
+E minus e, so every distribution and EMD is in the original ids and the
+deleted element never appears in the deletion run's support.
 
 Deletion orbits: an exact scan whose rule declares ``equivariant = True``
-on an oracle with ``blocks`` measures the first scanned member of each run
-of the blocks and gives the run's other scanned members the same
-restricted run and EMD.  Non-equivariant rules, ordinal schedules, oracles
-without blocks and every sampled scan (each deletion draws its own stream,
-keyed ``(seed, 1, e)``) measure each deletion on its own.  Blocks are taken
-on trust: an oracle whose declared blocks are not exactly invariant gets
-wrong orbit values without any error.
+on an oracle with ``blocks`` measures the first scanned member e0 of each
+run of the blocks.  Each later scanned member e of the run takes e0's EMD
+and e0's deletion distribution relabelled by the order-preserving map from
+E minus e0 to E minus e; its inclusion bound is computed on its own.
+Non-equivariant rules, ordinal schedules, oracles without blocks and every
+sampled scan (each deletion draws its own stream, keyed ``(seed, 1, e)``)
+measure each deletion on its own.  Blocks are taken on trust: an oracle
+whose declared blocks are not exactly invariant gets wrong orbit values
+without any error.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import numpy as np
 from .algorithms import derive_rng
 from .distributions import (Algorithm, OutputDistribution, _sample,
                             exact_output_distribution, DEFAULT_NODE_BUDGET)
-from .oracle import InvalidElementError, ValueOracle, ids_of, restrict
+from .oracle import InvalidElementError, ValueOracle, ids_of
+# unused here; perfbench's tracer wraps ``sensitivity.restrict`` by name
+from .oracle import restrict  # noqa: F401
 from .transport import emd, inclusion_probability_lower_bound
 
 
@@ -123,15 +128,15 @@ class SensitivityReport:
         return {"rows": rows, "summary": summary}
 
 
-def _distribution(alg, oracle, k, mode, trials, seed_tag,
+def _distribution(alg, oracle, k, mode, trials, key, allowed,
                   p_min, node_budget) -> OutputDistribution:
     if mode == "exact":
         return exact_output_distribution(alg, oracle, k, p_min=p_min,
-                                         node_budget=node_budget)
+                                         node_budget=node_budget, allowed=allowed)
     if mode == "sampled":
         if not trials:
             raise ValueError("sampled mode needs trials")
-        return _sample(alg, oracle, k, trials, seed_tag)
+        return _sample(alg, oracle, k, trials, key, allowed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -157,77 +162,40 @@ def _bootstrap_halfwidth(d1: OutputDistribution, d2: OutputDistribution,
     return float((hi - lo) / 2)
 
 
-def _measure_element(alg, oracle, k, e, base_dist, mode, trials, seed,
-                     p_min, node_budget, bootstrap, measured=None):
-    """Measure the deletion of e; returns the result and (the restricted
-    run's distribution in its local ids, its EMD).
-
-    ``measured`` is that pair from another member of e's orbit: the run
-    and the EMD are then reused, and only the remapping and the inclusion
-    bound are computed for e.  The bound sums in e's own id order, which
-    can move its last bit, so it is not copied.
-    """
-    reduced = restrict(oracle, e)
-    if measured is None:
-        # at k = n only n - 1 elements remain: the run selects all of them,
-        # as a run does when its ``allowed`` pool is smaller than k
-        k_reduced = min(k, reduced.n)
-        if mode == "exact":
-            local = exact_output_distribution(alg, reduced, k_reduced, p_min=p_min,
-                                              node_budget=node_budget)
-        else:
-            local = _sample(alg, reduced, k_reduced, trials, (seed, 1, e))
-        d2 = local.remapped(reduced.index_map, oracle.n)
-        value = float(emd(base_dist, d2)[0])
-    else:
-        local, value = measured
-        d2 = local.remapped(reduced.index_map, oracle.n)
-    lb = float(inclusion_probability_lower_bound(base_dist, d2))
-    half = None
-    if mode == "sampled":
-        half = _bootstrap_halfwidth(base_dist, d2, bootstrap, (seed, 2, e))
-    result = ElementSensitivity(e, value, lb, mode,
-                                trials if mode == "sampled" else None, half)
-    return result, (local, value)
-
-
-def _deletion_orbits(alg, oracle, mode) -> dict[int, int]:
-    """The run of ``oracle.blocks`` holding each element when the deletions
-    of one run share a measurement; empty when none do.
-
-    Deleting e or e' of one run leaves the same restricted function, so
-    the restricted runs agree in local ids.  An equivariant rule's base
-    distribution is invariant under the permutation of the run that maps
-    one deletion distribution to the other, so the EMDs agree too.
-    """
-    if (mode != "exact" or oracle.blocks is None
-            or not getattr(alg, "equivariant", False)):
-        return {}
-    return {e: run for run in oracle.blocks for e in ids_of(run)}
-
-
 def _sensitivity_scan(alg, oracle, k, mode, seed, trials, elements, p_min,
                       node_budget, bootstrap, aggregate, alg_name) -> SensitivityReport:
-    if elements is None:
-        elements = list(range(oracle.n))
-    base = _distribution(alg, oracle, k, mode, trials, (seed, 0),
+    n = oracle.n
+    base = _distribution(alg, oracle, k, mode, trials, (seed, 0), None,
                          p_min, node_budget)
-    # in id order the members of a run come one after another, so only the
-    # last run's measurement is kept
-    run_of = _deletion_orbits(alg, oracle, mode)
-    last_run = measured = None
+    # deleting e or e' of one run leaves functions that differ by a
+    # relabelling inside the run, under which an equivariant rule's base
+    # distribution is invariant: the run's deletions share one EMD
+    run_of = {}
+    if mode == "exact" and oracle.blocks and getattr(alg, "equivariant", False):
+        run_of = {e: run for run in oracle.blocks for e in ids_of(run)}
+    shared = None       # (run, e0, e0's deletion distribution, its EMD)
     results = []
-    for e in sorted(elements):
+    for e in sorted(range(n) if elements is None else elements):
         run = run_of.get(e)
-        if run is None or run != last_run:
-            measured = None
-        result, measured = _measure_element(alg, oracle, k, e, base, mode, trials,
-                                            seed, p_min, node_budget, bootstrap, measured)
-        last_run = run
-        results.append(result)
+        if run is not None and shared is not None and shared[0] == run:
+            _, e0, d0, value = shared
+            # the order-preserving map from E minus e0 to E minus e
+            d2 = d0.remapped(tuple(x - (e0 < x <= e) for x in range(n)), n)
+        else:
+            d2 = _distribution(alg, oracle, k, mode, trials, (seed, 1, e),
+                               oracle.full_mask & ~(1 << e), p_min, node_budget)
+            value = float(emd(base, d2)[0])
+            shared = (run, e, d2, value)
+        # not shared: the bound sums in e's own id order, which can move its last bit
+        lb = float(inclusion_probability_lower_bound(base, d2))
+        half = None
+        if mode == "sampled":
+            half = _bootstrap_halfwidth(base, d2, bootstrap, (seed, 2, e))
+        results.append(ElementSensitivity(e, value, lb, mode,
+                                          trials if mode == "sampled" else None, half))
     report = SensitivityReport(
         algorithm=alg_name or getattr(alg, "name", type(alg).__name__),
-        function=oracle.name, n=oracle.n, k=k, mode=mode,
+        function=oracle.name, n=n, k=k, mode=mode,
         per_element=tuple(results), aggregate=aggregate,
         trials=trials if mode == "sampled" else None)
     return report.validate()

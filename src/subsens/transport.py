@@ -399,6 +399,7 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
         shifted = cost[:, cols]
         shifted -= vr[None, :]
         u = shifted.min(axis=1)
+        del shifted
         v[cols] = vr
     for i, j in shared:
         if excess_b[j] <= 0:        # cancelled target

@@ -142,3 +142,11 @@ def test_criterion_12_reproducibility(suite_dir):
     print(f"{'PASS' if ok else 'FAIL'} criterion 12: byte-identical re-runs "
           f"for {len(SUITES) - len(mismatched)}/{len(SUITES)} suites")
     assert ok, f"suites with non-identical CSV bytes: {mismatched}"
+
+
+def test_suite_cells_are_plain_numbers(suite_dir):
+    # a numpy scalar's repr (np.float64(...)) is not a number to a CSV reader
+    for suite_id in sorted(SUITES):
+        get_suite(suite_id, suite_dir)
+        with open(os.path.join(_OUTDIRS[suite_id], f"{suite_id}.csv")) as fh:
+            assert "np." not in fh.read(), suite_id

@@ -175,3 +175,16 @@ def test_trace_export_format():
     lines = trace.export_lines()
     assert lines[0] == "round,group,machine,shard_size,solution,value"
     assert all(len(ln.split(",")) == 6 for ln in lines[1:])
+
+
+def test_distributed_runs_evaluate_each_solution_once():
+    # the pick of the best solution reads the value on each trace row
+    f = build_function(FunctionSpec("greedi_lb", n=1024, c=0.5))
+    before = f.calls
+    _, trace = greedi(f, 4, 8, seed=0)
+    assert f.calls - before == 119
+    assert all(row.value == f.value(row.solution) for row in trace.rows)
+    g = build_function(FunctionSpec("framework_lb", n=1024, k=4, c=0.5))
+    before = g.calls
+    barbosa_framework(g, 4, MpcConfig(machines=8, groups=2, rounds=3), None, seed=0)
+    assert g.calls - before == 858

@@ -206,6 +206,19 @@ def test_cli_emd_ground_size_mismatch(tmp_path, capsys):
     assert main(["emd", a, big, "--n", "6"]) == 1
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0x3,1.5\n0x5,-0.5\n", "negative or NaN probability"),
+    ("0x3,nan\n0x5,1.0\n", "negative or NaN probability"),
+    ("0x3,0.5\n0x7,0.5\n", "support mixes set sizes"),
+], ids=["negative", "nan", "mixed-sizes"])
+def test_cli_emd_rejects_invalid_distribution(tmp_path, capsys, rows, message):
+    good = write(tmp_path, "good.csv", "set_bitmask_hex,probability\n0x3,1.0\n")
+    bad = write(tmp_path, "bad.csv", "set_bitmask_hex,probability\n" + rows)
+    for args in ([good, bad], [bad, good]):
+        assert main(["emd", *args, "--n", "6"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_cli_list_suites(capsys):
     assert main(["list-suites"]) == 0
     out = capsys.readouterr().out

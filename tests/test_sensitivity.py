@@ -393,13 +393,93 @@ def test_orbit_scan_matches_per_element_scan(spec, name, data):
     assert_report_matches(report, [rows[e] for e in sorted(elements)])
 
 
-def count_scan_calls(monkeypatch, n):
-    """Count the restricted runs and EMDs a scan makes, through the module
-    attributes the scan looks up at call time."""
-    calls = {"base": 0, "restricted": 0, "emd": 0}
+def restricted_run(alg, f, k, e, mode, p_min=0.0, seed=0, trials=None):
+    """The deletion of e through ``restrict``: a run in local ids on n - 1
+    elements (k clamped to them), mapped back to the ids of f."""
+    reduced = restrict(f, e)
+    k_reduced = min(k, reduced.n)
+    if mode == "exact":
+        local = exact_output_distribution(alg, reduced, k_reduced, p_min=p_min)
+    else:
+        local = _sampled_with_key(alg, reduced, k_reduced, trials, (seed, 1, e))
+    return local.remapped(reduced.index_map, f.n)
+
+
+def outcome(d):
+    """Everything a distribution records, in its dict order."""
+    return list(d.probs.items()), d.lost_mass, d.nodes_per_level, d.rule_evals
+
+
+POOL_SPECS = shipped_default_specs(8) + [FunctionSpec("framework_lb", n=8, k=3, c=0.5, j=2)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pool_deletion_matches_restricted_oracle(data):
+    # every deletion the scan measures, shared ones included, is the
+    # restricted run bit for bit: same masks in the same dict order, the
+    # same pruned mass, DP nodes and rule evaluations, EMD and bound
+    f = build_function(data.draw(st.sampled_from(POOL_SPECS)))
+    k = data.draw(st.integers(1, f.n))
+    alg = ORBIT_ALGS[data.draw(st.sampled_from(sorted(ORBIT_ALGS)))](k)
+    mode = data.draw(st.sampled_from(["exact", "sampled"]))
+    p_min = data.draw(st.sampled_from([0.0, 1e-6, 1e-4])) if mode == "exact" else 0.0
+    trials = 40 if mode == "sampled" else None
+    elements = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(0, f.n - 1), min_size=1, unique=True)))
+    scanned = sorted(range(f.n) if elements is None else elements)
+
+    def reference():
+        if mode == "exact":
+            base = exact_output_distribution(alg, f, k, p_min=p_min)
+        else:
+            base = _sampled_with_key(alg, f, k, trials, (0, 0))
+        rows = []
+        for e in scanned:
+            d2 = restricted_run(alg, f, k, e, mode, p_min, 0, trials)
+            rows.append((outcome(d2), float(emd(base, d2)[0]),
+                         float(inclusion_probability_lower_bound(base, d2))))
+        return rows
+
+    measured = []
+
+    def recording_bound(d1, d2):
+        measured.append(outcome(d2))
+        return inclusion_probability_lower_bound(d1, d2)
+
+    try:
+        expected = reference()
+    except ValueError as exc:     # a schedule longer than the pool, say
+        with pytest.raises(type(exc)):
+            worst_case_sensitivity(alg, f, k, mode=mode, trials=trials,
+                                   elements=elements, p_min=p_min, bootstrap=0)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensitivity, "inclusion_probability_lower_bound", recording_bound)
+        report = worst_case_sensitivity(alg, f, k, mode=mode, trials=trials,
+                                        elements=elements, p_min=p_min, bootstrap=0)
+    assert [(r.element, r.emd, r.inclusion_lb) for r in report.per_element] == \
+        [(e, row[1], row[2]) for e, row in zip(scanned, expected)]
+    assert measured == [row[0] for row in expected]
+
+
+@pytest.mark.parametrize("mode, trials", [("exact", None), ("sampled", 10)])
+def test_scan_of_one_element_ground_set(mode, trials):
+    # deleting the only element leaves the empty output: EMD 1
+    f = modular(5)
+    for rule in (greedy_rule(), proportional_greedy_rule()):
+        report = worst_case_sensitivity(rule, f, 1, mode=mode, trials=trials)
+        assert [(r.element, r.emd) for r in report.per_element] == [(0, 1.0)]
+
+
+def count_scan_calls(monkeypatch):
+    """Count the base run, the deletion runs (those given a pool) and the
+    EMDs a scan makes, through the module attributes the scan looks up at
+    call time."""
+    calls = {"base": 0, "deletion": 0, "emd": 0}
 
     def counting_dp(alg, oracle, k, **kwargs):
-        calls["restricted" if oracle.n < n else "base"] += 1
+        calls["base" if kwargs.get("allowed") is None else "deletion"] += 1
         return exact_output_distribution(alg, oracle, k, **kwargs)
 
     def counting_emd(d1, d2, **kwargs):
@@ -422,24 +502,24 @@ def count_scan_calls(monkeypatch, n):
 ], ids=["proportional-greedi_lb", "proportional-modular", "greedy-greedi_lb"])
 def test_exact_scan_measures_once_per_orbit(monkeypatch, spec, rule, expected):
     f = build_function(spec)
-    calls = count_scan_calls(monkeypatch, f.n)
+    calls = count_scan_calls(monkeypatch)
     worst_case_sensitivity(rule, f, 4)
-    assert (calls["base"], calls["restricted"], calls["emd"]) == expected
+    assert (calls["base"], calls["deletion"], calls["emd"]) == expected
 
 
 def test_sampled_scan_draws_one_stream_per_element(monkeypatch):
     f = build_function(FunctionSpec("greedi_lb", n=10, c=0.5))
     keys = []
 
-    def recording_sample(alg, oracle, k, trials, key):
-        keys.append(key)
-        return _sampled_with_key(alg, oracle, k, trials, key)
+    def recording_sample(alg, oracle, k, trials, key, allowed=None):
+        keys.append((key, allowed))
+        return _sampled_with_key(alg, oracle, k, trials, key, allowed)
 
     monkeypatch.setattr(sensitivity, "_sample", recording_sample)
-    calls = count_scan_calls(monkeypatch, f.n)
+    calls = count_scan_calls(monkeypatch)
     worst_case_sensitivity(proportional_greedy_rule(), f, 4, mode="sampled",
                            trials=50, seed=3, elements=[1, 2], bootstrap=0)
-    assert keys == [(3, 0), (3, 1, 1), (3, 1, 2)]
+    assert keys == [((3, 0), None), ((3, 1, 1), 0x3FD), ((3, 1, 2), 0x3FB)]
     assert calls["emd"] == 2
 
 
