@@ -115,13 +115,13 @@ class OutputDistribution:
         if not lines or lines[0] != "set_bitmask_hex,probability":
             raise ValueError("not an OutputDistribution CSV")
         probs = {}
-        lost = 0.0
         for ln in lines[1:]:
             mask_hex, _, p = ln.partition(",")
-            if mask_hex == "lost_mass":
-                lost = float(p)
-            else:
-                probs[int(mask_hex, 16)] = float(p)
+            key = mask_hex if mask_hex == "lost_mass" else int(mask_hex, 16)
+            if key in probs:
+                raise ValueError(f"repeated row for {mask_hex}")
+            probs[key] = float(p)
+        lost = probs.pop("lost_mass", 0.0)
         k = max((m.bit_count() for m in probs), default=0)
         return cls(n, k, probs, mode=mode, trials=trials, lost_mass=lost)
 

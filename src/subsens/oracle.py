@@ -11,19 +11,20 @@ disjoint masks that cover the ground set, such that f is invariant under
 every permutation inside a block.  Every element of a block outside S then
 has a bit-identical marginal gain at S, and ``ValueOracle.block_gains``
 makes one oracle call per block that meets the candidate pool instead of
-one per candidate.  Families whose value depends only on per-block counts
-and a few flag elements declare their blocks in ``build_function``;
-``restrict`` carries them through a deletion.  Blocks are kept as runs of
+one per candidate.  Ten families compute f with one of three value kernels
+(``_gated``, ``_gated_unit``, ``_gated_eps``), which return the masks they
+read as the blocks, so f is invariant inside each by construction;
+``prop_lb``, ``large_element`` and ``appendixD_lb`` list theirs by hand.
+``restrict`` carries blocks through a deletion.  Blocks are kept as runs of
 consecutive ids, so gains come out in id order and greedy's lowest-id tie
 rule picks what a per-element scan picks.  An oracle without blocks treats
 every element as its own block, so its calls are unchanged.
 ``ValueOracle.signature`` packs a set's count in each run into one int.
-Blocks are a contract that nothing checks at run time: exact output
-distributions of an equivariant rule evaluate it once per signature in
-each DP level, and exact sensitivity scans with such a rule copy one
-deletion's measurement to its whole run.  Blocks that are not exactly
-invariant therefore give wrong distributions, and wrong scan values,
-without any error.
+Exact output distributions of an equivariant rule evaluate it once per
+signature in each DP level, and exact sensitivity scans with such a rule
+copy one deletion's measurement to its whole run, so blocks handed to
+``ValueOracle`` that are not exactly invariant give wrong distributions,
+and wrong scan values, without any error.
 """
 
 from __future__ import annotations
@@ -564,63 +565,83 @@ def _build_prop_lb(spec: FunctionSpec):
                    "first_block": _block(0, half), "second_block": b_mask}, [1, c_mask, *cascade]
 
 
-def _build_randgreedy_lb(spec: FunctionSpec):
-    # C x_1 + (1 - x_1) * |S ∩ mid| + 0.5 |S ∩ tail|, mid = e_2..e_{2k+1}.
-    n, k = spec.n, spec.k
-    _require(k is not None and k >= 1, InconsistentDimensionsError, "randgreedy_lb needs k")
-    _require(n >= 2 * k + 2, InconsistentDimensionsError,
-             f"randgreedy_lb needs n >= 2k+2 = {2 * k + 2}, got {n}")
-    scale = _large_constant(spec, n)
-    mid = _block(1, 2 * k + 1)
-    tail = _block(2 * k + 1, n)
+# Value kernels, g = [gate ⊆ S].  Each returns f and the disjoint masks it
+# reads; f depends only on the count of S in each, so they are its blocks.
+# Weights are computed once, by the expressions a per-call evaluation uses.
+
+
+def _gated(scale, heavy: int, gate: int, c: float, mid: int, tail: int):
+    """C |S ∩ heavy| + (1 - c g) |S ∩ mid| + (1 - c/2) |S ∩ tail|; gate ⊆ heavy."""
+    on, off, tail_w = 1.0 - c * 1, 1.0 - c * 0, 1.0 - c / 2.0
 
     def fn(mask: int) -> float:
-        total = scale if mask & 1 else 0.0
-        if not mask & 1:
+        mid_w = on if (mask & gate) == gate else off
+        return (scale * (mask & heavy).bit_count() + mid_w * (mask & mid).bit_count()
+                + tail_w * (mask & tail).bit_count())
+
+    return fn, [heavy & ~gate, gate, mid, tail]
+
+
+def _gated_unit(scale, prefix: int, mid: int, tail: int):
+    """C |S ∩ prefix| + [prefix ⊄ S] |S ∩ mid| + 1/2 |S ∩ tail|."""
+
+    def fn(mask: int) -> float:
+        total = scale * (mask & prefix).bit_count()
+        if (mask & prefix) != prefix:
             total += (mask & mid).bit_count()
         return total + 0.5 * (mask & tail).bit_count()
 
-    return n, fn, {"scale": scale, "mid": mid, "tail": tail}, [1, mid, tail]
+    return fn, [prefix, mid, tail]
 
 
-def _build_curvature_det_lb(spec: FunctionSpec):
-    # C x_1 + (1 - c x_1) |S ∩ e_2..e_{k+1}| + (1 - c/2) |S ∩ e_{k+2}..e_{2k+1}|.
-    k = spec.k
-    _require(k is not None and k >= 1, InconsistentDimensionsError, "curvature_det_lb needs k")
-    n = spec.n
-    _require(n == 2 * k + 1, InconsistentDimensionsError,
-             f"curvature_det_lb needs n = 2k+1 = {2 * k + 1}, got {n}")
-    c = _check_c(spec.c)
-    scale = _large_constant(spec, n)
-    mid = _block(1, k + 1)
-    tail = _block(k + 1, 2 * k + 1)
+def _gated_eps(c: float, eps: float, pre: int, gate: int, mid: int, shadow: int, rest: int):
+    """(1 - c g) |S ∩ pre| + |S ∩ gate| + (1 - c + eps (1 - g)) |S ∩ mid|
+    + (1 - c + eps/2) |S ∩ shadow| + eps |S ∩ rest|."""
+    on = (1.0 - c * 1, 1.0 - c + eps * 0)     # (pre, mid) weights at g = 1
+    off = (1.0 - c * 0, 1.0 - c + eps * 1)
+    shadow_w = 1.0 - c + eps / 2.0
 
     def fn(mask: int) -> float:
-        x1 = 1 if mask & 1 else 0
-        return (scale * x1 + (1.0 - c * x1) * (mask & mid).bit_count()
-                + (1.0 - c / 2.0) * (mask & tail).bit_count())
+        pre_w, mid_w = on if (mask & gate) == gate else off
+        return (pre_w * (mask & pre).bit_count() + (mask & gate).bit_count()
+                + mid_w * (mask & mid).bit_count() + shadow_w * (mask & shadow).bit_count()
+                + eps * (mask & rest).bit_count())
 
-    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, [1, mid, tail]
+    return fn, [pre, gate, mid, shadow, rest]
 
 
-def _build_curvature_rand_lb(spec: FunctionSpec):
-    # Same shape with blocks of size 2k: mid = e_2..e_{2k+1}, tail = e_{2k+2}..e_{4k+1}.
-    k = spec.k
-    _require(k is not None and k >= 1, InconsistentDimensionsError, "curvature_rand_lb needs k")
+def _build_randgreedy_lb(spec: FunctionSpec):
+    # C |S ∩ prefix| + (1 - I) |S ∩ mid| + 0.5 |S ∩ tail|, I = [prefix ⊆ S],
+    # prefix = e_1..e_m, mid = e_{m+1}..e_{2k+1}; randgreedy_lb fixes m = 1.
+    n, k, family = spec.n, spec.k, spec.family
+    _require(k is not None and k >= 1, InconsistentDimensionsError, f"{family} needs k")
+    _require(n >= 2 * k + 2, InconsistentDimensionsError,
+             f"{family} needs n >= 2k+2 = {2 * k + 2}, got {n}")
+    m = 1 if family == "randgreedy_lb" else _prefix_len(spec)
+    _require(1 <= m <= k, InconsistentDimensionsError, f"prefix m={m} outside 1..k")
+    scale = _large_constant(spec, n)
+    prefix = _block(0, m)
+    mid = _block(m, 2 * k + 1)
+    tail = _block(2 * k + 1, n)
+    fn, blocks = _gated_unit(scale, prefix, mid, tail)
+    return n, fn, {"scale": scale, "prefix": prefix, "mid": mid, "tail": tail, "m": m}, blocks
+
+
+def _build_curvature_lb(spec: FunctionSpec):
+    # C x_1 + (1 - c x_1) |S ∩ mid| + (1 - c/2) |S ∩ tail|, mid and tail of
+    # width k (curvature_det_lb) or 2k (curvature_rand_lb) after e_1.
+    k, family = spec.k, spec.family
+    _require(k is not None and k >= 1, InconsistentDimensionsError, f"{family} needs k")
+    width = k if family == "curvature_det_lb" else 2 * k
     n = spec.n
-    _require(n == 4 * k + 1, InconsistentDimensionsError,
-             f"curvature_rand_lb needs n = 4k+1 = {4 * k + 1}, got {n}")
+    _require(n == 2 * width + 1, InconsistentDimensionsError,
+             f"{family} needs n = {2 * width // k}k+1 = {2 * width + 1}, got {n}")
     c = _check_c(spec.c)
     scale = _large_constant(spec, n)
-    mid = _block(1, 2 * k + 1)
-    tail = _block(2 * k + 1, 4 * k + 1)
-
-    def fn(mask: int) -> float:
-        x1 = 1 if mask & 1 else 0
-        return (scale * x1 + (1.0 - c * x1) * (mask & mid).bit_count()
-                + (1.0 - c / 2.0) * (mask & tail).bit_count())
-
-    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, [1, mid, tail]
+    mid = _block(1, width + 1)
+    tail = _block(width + 1, n)
+    fn, blocks = _gated(scale, 1, 1, c, mid, tail)
+    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, blocks
 
 
 def _build_large_element(spec: FunctionSpec):
@@ -639,9 +660,8 @@ def _build_large_element(spec: FunctionSpec):
 
 
 def _build_near_equality(spec: FunctionSpec):
-    # (1 - c x_j) |S ∩ pre| + x_j + (1 - c + eps (1 - x_j)) |S ∩ mid|
-    #   + (1 - c + eps/2) |S ∩ shadow| + eps |S ∩ rest|
-    # pre = e_1..e_{j-1}, mid = e_{j+1}..e_{Imax+1}, shadow = e_{Imax+2}..e_{2 Imax+1}.
+    # _gated_eps with gate = {e_j}, pre = e_1..e_{j-1}, mid = e_{j+1}..e_{Imax+1},
+    # shadow = e_{Imax+2}..e_{2 Imax+1}.
     n = spec.n
     c = _check_c(spec.c)
     eps = _eps_spacing(spec, n)
@@ -657,22 +677,13 @@ def _build_near_equality(spec: FunctionSpec):
              f"near_equality needs c > eps to keep the marginal ordering (c={c}, eps={eps})")
     _require(c * (j - 1) <= 1.0, NonPositiveScaleError,
              f"near_equality monotonicity needs c*(j-1) <= 1 (c={c}, j={j})")
-    jbit = 1 << (j - 1)
     pre = _block(0, j - 1)
     mid = _block(j, i_max + 1)
     shadow = _block(i_max + 1, 2 * i_max + 1)
     rest = _block(2 * i_max + 1, n)
-
-    def fn(mask: int) -> float:
-        xj = 1 if mask & jbit else 0
-        return ((1.0 - c * xj) * (mask & pre).bit_count() + xj
-                + (1.0 - c + eps * (1 - xj)) * (mask & mid).bit_count()
-                + (1.0 - c + eps / 2.0) * (mask & shadow).bit_count()
-                + eps * (mask & rest).bit_count())
-
+    fn, blocks = _gated_eps(c, eps, pre, 1 << (j - 1), mid, shadow, rest)
     return n, fn, {"c": c, "eps": eps, "j": j, "i_max": i_max,
-                   "pre": pre, "mid": mid, "shadow": shadow, "rest": rest}, \
-        [pre, jbit, mid, shadow, rest]
+                   "pre": pre, "mid": mid, "shadow": shadow, "rest": rest}, blocks
 
 
 def _build_greedi_lb(spec: FunctionSpec):
@@ -684,13 +695,8 @@ def _build_greedi_lb(spec: FunctionSpec):
     scale = _large_constant(spec, n)
     mid = _block(1, n // 2)
     tail = _block(n // 2, n)
-
-    def fn(mask: int) -> float:
-        x1 = 1 if mask & 1 else 0
-        return (scale * x1 + (1.0 - c * x1) * (mask & mid).bit_count()
-                + (1.0 - c / 2.0) * (mask & tail).bit_count())
-
-    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, [1, mid, tail]
+    fn, blocks = _gated(scale, 1, 1, c, mid, tail)
+    return n, fn, {"scale": scale, "c": c, "mid": mid, "tail": tail}, blocks
 
 
 def _build_framework_lb(spec: FunctionSpec):
@@ -704,19 +710,11 @@ def _build_framework_lb(spec: FunctionSpec):
     j = spec.j if spec.j is not None else k
     _require(1 <= j <= k, InconsistentDimensionsError,
              f"framework_lb needs 1 <= j <= k, got j={j}")
-    jbit = 1 << (j - 1)
     head = _block(0, k)
     mid = _block(k, n // 2)
     tail = _block(n // 2, n)
-
-    def fn(mask: int) -> float:
-        xj = 1 if mask & jbit else 0
-        return (scale * (mask & head).bit_count()
-                + (1.0 - c * xj) * (mask & mid).bit_count()
-                + (1.0 - c / 2.0) * (mask & tail).bit_count())
-
-    return n, fn, {"scale": scale, "c": c, "j": j, "head": head, "mid": mid, "tail": tail}, \
-        [head & ~jbit, jbit, mid, tail]
+    fn, blocks = _gated(scale, head, 1 << (j - 1), c, mid, tail)
+    return n, fn, {"scale": scale, "c": c, "j": j, "head": head, "mid": mid, "tail": tail}, blocks
 
 
 def _build_appendixD_lb(spec: FunctionSpec):
@@ -792,33 +790,8 @@ def _build_avg_prop_lb(spec: FunctionSpec):
                    "b_mask": b_mask, "c_mask": c_mask, "m": m}, None
 
 
-def _build_avg_randgreedy_lb(spec: FunctionSpec):
-    # C |S ∩ prefix| + (1 - I) |S ∩ mid| + 0.5 |S ∩ tail|,
-    # prefix = e_1..e_m, mid = e_{m+1}..e_{2k+1}, I = [prefix selected].
-    n, k = spec.n, spec.k
-    _require(k is not None and k >= 1, InconsistentDimensionsError, "avg_randgreedy_lb needs k")
-    _require(n >= 2 * k + 2, InconsistentDimensionsError,
-             f"avg_randgreedy_lb needs n >= 2k+2 = {2 * k + 2}, got {n}")
-    m = _prefix_len(spec)
-    _require(1 <= m <= k, InconsistentDimensionsError, f"prefix m={m} outside 1..k")
-    scale = _large_constant(spec, n)
-    prefix = _block(0, m)
-    mid = _block(m, 2 * k + 1)
-    tail = _block(2 * k + 1, n)
-
-    def fn(mask: int) -> float:
-        total = scale * (mask & prefix).bit_count()
-        if (mask & prefix) != prefix:
-            total += (mask & mid).bit_count()
-        return total + 0.5 * (mask & tail).bit_count()
-
-    return n, fn, {"scale": scale, "prefix": prefix, "mid": mid, "tail": tail, "m": m}, \
-        [prefix, mid, tail]
-
-
 def _build_avg_curvature_lb(spec: FunctionSpec):
-    # |S ∩ T| + (1 - c + eps (1 - I)) |S ∩ mid| + (1 - c + eps/2) |S ∩ shadow|
-    #   + eps |S ∩ rest|, T = e_1..e_m, I = [T selected].
+    # _gated_eps with pre empty and gate = T = e_1..e_m, mid = e_{m+1}..e_{Imax+1}.
     n, k = spec.n, spec.k
     c = _check_c(spec.c)
     eps = _eps_spacing(spec, n)
@@ -834,83 +807,51 @@ def _build_avg_curvature_lb(spec: FunctionSpec):
     mid = _block(m, i_max + 1)
     shadow = _block(i_max + 1, 2 * i_max + 1)
     rest = _block(2 * i_max + 1, n)
-
-    def fn(mask: int) -> float:
-        flipped = (mask & prefix) == prefix
-        mid_w = (1.0 - c) if flipped else (1.0 - c + eps)
-        return ((mask & prefix).bit_count() + mid_w * (mask & mid).bit_count()
-                + (1.0 - c + eps / 2.0) * (mask & shadow).bit_count()
-                + eps * (mask & rest).bit_count())
-
+    fn, blocks = _gated_eps(c, eps, 0, prefix, mid, shadow, rest)
     return n, fn, {"c": c, "eps": eps, "m": m, "i_max": i_max,
-                   "prefix": prefix, "mid": mid, "shadow": shadow, "rest": rest}, \
-        [prefix, mid, shadow, rest]
+                   "prefix": prefix, "mid": mid, "shadow": shadow, "rest": rest}, blocks
 
 
-def _build_avg_greedi_lb(spec: FunctionSpec):
-    # C |S ∩ prefix| + (1 - c I) |S ∩ mid| + (1 - c/2) |S ∩ tail|,
-    # prefix = e_1..e_m, mid the next k elements.
-    n, k = spec.n, spec.k
-    _require(k is not None and k >= 1, InconsistentDimensionsError, "avg_greedi_lb needs k")
+def _build_avg_gated_lb(spec: FunctionSpec):
+    # C |S ∩ prefix| + (1 - c I) |S ∩ mid| + (1 - c/2) |S ∩ tail|, I = [prefix ⊆ S]:
+    # avg_greedi_lb has prefix e_1..e_m and k mid elements, avg_framework_lb
+    # has prefix e_1..e_k and ceil(k/2) mid elements.
+    n, k, family = spec.n, spec.k, spec.family
+    _require(k is not None and k >= 1, InconsistentDimensionsError, f"{family} needs k")
     c = _check_c(spec.c)
-    m = _prefix_len(spec)
-    _require(n >= m + k + 1, InconsistentDimensionsError,
-             f"avg_greedi_lb needs n >= m+k+1 = {m + k + 1}, got {n}")
+    if family == "avg_greedi_lb":
+        m, width = _prefix_len(spec), k
+        _require(n >= m + k + 1, InconsistentDimensionsError,
+                 f"avg_greedi_lb needs n >= m+k+1 = {m + k + 1}, got {n}")
+    else:
+        m, width = k, (k + 1) // 2
+        _require(n >= k + width + 1, InconsistentDimensionsError,
+                 f"avg_framework_lb needs n >= k + ceil(k/2) + 1 = {k + width + 1}, got {n}")
     scale = _large_constant(spec, n)
     prefix = _block(0, m)
-    mid = _block(m, m + k)
-    tail = _block(m + k, n)
-
-    def fn(mask: int) -> float:
-        flipped = (mask & prefix) == prefix
-        mid_w = (1.0 - c) if flipped else 1.0
-        return (scale * (mask & prefix).bit_count() + mid_w * (mask & mid).bit_count()
-                + (1.0 - c / 2.0) * (mask & tail).bit_count())
-
+    mid = _block(m, m + width)
+    tail = _block(m + width, n)
+    fn, blocks = _gated(scale, prefix, prefix, c, mid, tail)
     return n, fn, {"scale": scale, "c": c, "m": m, "prefix": prefix, "mid": mid, "tail": tail}, \
-        [prefix, mid, tail]
-
-
-def _build_avg_framework_lb(spec: FunctionSpec):
-    # C |S ∩ e_1..e_k| + (1 - c I) |S ∩ mid| + (1 - c/2) |S ∩ tail|,
-    # I = [all of e_1..e_k selected], mid the next ceil(k/2) elements.
-    n, k = spec.n, spec.k
-    _require(k is not None and k >= 1, InconsistentDimensionsError, "avg_framework_lb needs k")
-    c = _check_c(spec.c)
-    half = (k + 1) // 2
-    _require(n >= k + half + 1, InconsistentDimensionsError,
-             f"avg_framework_lb needs n >= k + ceil(k/2) + 1 = {k + half + 1}, got {n}")
-    scale = _large_constant(spec, n)
-    prefix = _block(0, k)
-    mid = _block(k, k + half)
-    tail = _block(k + half, n)
-
-    def fn(mask: int) -> float:
-        flipped = (mask & prefix) == prefix
-        mid_w = (1.0 - c) if flipped else 1.0
-        return (scale * (mask & prefix).bit_count() + mid_w * (mask & mid).bit_count()
-                + (1.0 - c / 2.0) * (mask & tail).bit_count())
-
-    return n, fn, {"scale": scale, "c": c, "prefix": prefix, "mid": mid, "tail": tail}, \
-        [prefix, mid, tail]
+        blocks
 
 
 _FAMILIES = {
     "modular": _build_modular,
     "prop_lb": _build_prop_lb,
     "randgreedy_lb": _build_randgreedy_lb,
-    "curvature_det_lb": _build_curvature_det_lb,
-    "curvature_rand_lb": _build_curvature_rand_lb,
+    "curvature_det_lb": _build_curvature_lb,
+    "curvature_rand_lb": _build_curvature_lb,
     "large_element": _build_large_element,
     "near_equality": _build_near_equality,
     "greedi_lb": _build_greedi_lb,
     "framework_lb": _build_framework_lb,
     "appendixD_lb": _build_appendixD_lb,
     "avg_prop_lb": _build_avg_prop_lb,
-    "avg_randgreedy_lb": _build_avg_randgreedy_lb,
+    "avg_randgreedy_lb": _build_randgreedy_lb,
     "avg_curvature_lb": _build_avg_curvature_lb,
-    "avg_greedi_lb": _build_avg_greedi_lb,
-    "avg_framework_lb": _build_avg_framework_lb,
+    "avg_greedi_lb": _build_avg_gated_lb,
+    "avg_framework_lb": _build_avg_gated_lb,
 }
 
 
@@ -922,9 +863,10 @@ def build_function(spec: FunctionSpec) -> ValueOracle:
     """Instantiate a function family as a ValueOracle with f(empty) = 0.
 
     Builders return (n, fn, meta, blocks); blocks is None when every element
-    must stay its own block.  ``modular`` and ``avg_prop_lb`` sum float or
-    cascade weights element by element, so two elements with equal weights
-    are not guaranteed bit-identical gains and they declare no blocks.
+    must stay its own block.  Ten families take their blocks from their
+    value kernel.  ``modular`` and ``avg_prop_lb`` sum float or cascade
+    weights element by element, so two elements with equal weights are not
+    guaranteed bit-identical gains and they declare no blocks.
     """
     try:
         builder = _FAMILIES[spec.family]

@@ -345,7 +345,8 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     Returns the optimal value and a TransportPlan carrying the coupling and
     an LP-duality certificate over both full supports.  A total-mass gap is
     accepted up to MASS_TOL plus the mass both inputs recorded as pruned,
-    and is absorbed into the largest target mass.  When both inputs are
+    and is absorbed into the largest target mass; InfeasibleMarginalsError
+    when a support is empty or that mass would turn negative.  When both inputs are
     empirical with the same trial count the objective is also reported as
     an exact rational.
     """
@@ -359,10 +360,11 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     a = np.array([d1.probs[m] for m in sources], dtype=float)
     b = np.array([d2.probs[m] for m in targets], dtype=float)
     gap = float(a.sum() - b.sum())
+    masses = f"{a.sum()} vs {b.sum()} (lost {d1.lost_mass} and {d2.lost_mass})"
     if abs(gap) > MASS_TOL + d1.lost_mass + d2.lost_mass:
-        raise InfeasibleMarginalsError(
-            f"mass mismatch: {a.sum()} vs {b.sum()} "
-            f"(lost {d1.lost_mass} and {d2.lost_mass})")
+        raise InfeasibleMarginalsError(f"mass mismatch: {masses}")
+    if not len(a) or not len(b) or b.max() + gap < 0:
+        raise InfeasibleMarginalsError(f"mass gap {gap} left no target to absorb it: {masses}")
     # absorb the gap so the transportation problem balances
     b[int(np.argmax(b))] += gap
     cost = _cost_matrix(sources, targets)

@@ -210,13 +210,37 @@ def test_cli_emd_ground_size_mismatch(tmp_path, capsys):
     ("0x3,1.5\n0x5,-0.5\n", "negative or NaN probability"),
     ("0x3,nan\n0x5,1.0\n", "negative or NaN probability"),
     ("0x3,0.5\n0x7,0.5\n", "support mixes set sizes"),
-], ids=["negative", "nan", "mixed-sizes"])
+    ("0x3,0.5\n0x3,0.5\n0x5,0.5\n", "repeated row for 0x3"),
+    ("0x3,0.5\n0x5,0.5\nlost_mass,0.0\nlost_mass,0.1\n", "repeated row for lost_mass"),
+], ids=["negative", "nan", "mixed-sizes", "repeated-mask", "repeated-lost-mass"])
 def test_cli_emd_rejects_invalid_distribution(tmp_path, capsys, rows, message):
     good = write(tmp_path, "good.csv", "set_bitmask_hex,probability\n0x3,1.0\n")
     bad = write(tmp_path, "bad.csv", "set_bitmask_hex,probability\n" + rows)
     for args in ([good, bad], [bad, good]):
         assert main(["emd", *args, "--n", "6"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_run_pruned_mass_gap_exits_1(tmp_path, capsys):
+    text = """\
+[function]
+family = curvature_det_lb
+n = 11
+k = 5
+c = 0.5
+
+[algorithm]
+name = proportional
+
+[run]
+k = 3
+mode = exact
+seed = 0
+p_min = 1e-2
+"""
+    assert main(["run", write(tmp_path, "pruned.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mass gap") and "lost" in err
 
 
 def test_cli_list_suites(capsys):

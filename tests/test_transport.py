@@ -13,7 +13,7 @@ from subsens import (FunctionSpec, OutputDistribution, build_function, emd,
                      exact_output_distribution,
                      inclusion_probability_lower_bound, mask_of,
                      proportional_greedy_rule, restrict, sym_diff_cost,
-                     tv_distance)
+                     tv_distance, worst_case_sensitivity)
 from subsens.transport import (InfeasibleMarginalsError,
                                SupportCapExceededError, _network_simplex,
                                _rational_cost)
@@ -72,6 +72,37 @@ def test_emd_mass_mismatch_rejected():
     d2 = dist(3, 1, {0b001: 1.0})
     with pytest.raises(InfeasibleMarginalsError):
         emd(d1, d2)
+
+
+def test_emd_rejects_a_gap_no_target_can_absorb():
+    kept = dist(3, 1, {0b001: 0.3}, lost_mass=0.7)
+    pruned_away = dist(3, 1, {}, lost_mass=1.0)
+    for d1, d2 in ((kept, pruned_away), (pruned_away, kept)):
+        with pytest.raises(InfeasibleMarginalsError, match="lost 0.7 and 1.0|lost 1.0 and 0.7"):
+            emd(d1, d2)
+    # the largest target (0.5) cannot take a gap of -0.6
+    more = dist(3, 1, {0b001: 0.5, 0b010: 0.4}, lost_mass=0.1)
+    with pytest.raises(InfeasibleMarginalsError, match="0.3 vs 0.9"):
+        emd(dist(3, 1, {0b100: 0.3}, lost_mass=0.7), more)
+
+
+# a pruned scan (proportional greedy, p_min=1e-2, deletion of element 0) whose
+# deletion keeps mass the base run lost, or keeps none at all
+PRUNED_GAPS = [
+    (FunctionSpec("near_equality", n=8, c=0.5, i_max=3), 4),
+    (FunctionSpec("avg_curvature_lb", n=8, k=4, c=0.5), 5),
+    (FunctionSpec("avg_greedi_lb", n=8, k=4, c=0.5), 5),
+    (FunctionSpec("curvature_det_lb", n=11, k=5, c=0.5), 3),
+    (FunctionSpec("curvature_rand_lb", n=9, k=2, c=0.5), 3),
+    (FunctionSpec("appendixD_lb", n=8, c=0.75), 3),
+]
+
+
+@pytest.mark.parametrize("spec, k", PRUNED_GAPS, ids=lambda x: getattr(x, "family", x))
+def test_pruned_scan_mass_gap_is_typed(spec, k):
+    with pytest.raises(InfeasibleMarginalsError, match="mass gap .*lost"):
+        worst_case_sensitivity(proportional_greedy_rule(), build_function(spec), k,
+                               p_min=1e-2, elements=[0])
 
 
 def test_support_cap():
