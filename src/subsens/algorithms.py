@@ -9,6 +9,7 @@ scheduling.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,8 +34,111 @@ PROB_TOL = 1e-12
 
 
 def derive_rng(*key: int) -> np.random.Generator:
-    """Philox generator keyed by an integer tuple; splittable and stable."""
+    """Philox generator keyed by an integer tuple; splittable and stable.
+
+    The reference for ``derive_uniforms``, which the sampler draws from;
+    the sequential runners, the bootstrap and ``distsim`` draw from it."""
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy=key)))
+
+
+_M32 = 0xFFFFFFFF
+
+
+def _key_words(key: tuple) -> list[int]:
+    """The little-endian 32-bit words of each int, as ``SeedSequence``
+    assembles its entropy; 0 gives one word."""
+    words = []
+    for w in key:
+        w = operator.index(w)
+        if w < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(w & _M32)
+        while w > _M32:
+            w >>= 32
+            words.append(w & _M32)
+    return words
+
+
+def _hashmix(const: int, mult: int):
+    """``SeedSequence``'s hash of one 32-bit word, whose constant advances
+    by ``mult`` at every call."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _M32
+        value = (value * const) & _M32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    """``SeedSequence``'s mix of a pool word with a hashed word."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _seed_state(entropy: list) -> tuple[np.ndarray, np.ndarray]:
+    """``SeedSequence(entropy).generate_state(2, uint64)`` for words that
+    are ints or uint64 arrays: a pool of 4 hashed words, cross-mixed, with
+    words past the fourth mixed in after; then each pool word hashed once
+    more, paired low then high.  Every product is masked to 32 bits."""
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool))
+    return state[0] | (state[1] << 32), state[2] | (state[3] << 32)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product of a 64-bit constant and
+    each word of ``b``, from 32-bit halves in uint64."""
+    a_lo, a_hi = np.uint64(a & _M32), np.uint64(a >> 32)
+    b_lo, b_hi = b & _M32, b >> 32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
+    return a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), b * np.uint64(a)
+
+
+def _philox(counter: int, k0: np.ndarray, k1: np.ndarray) -> list[np.ndarray]:
+    """Philox4x64-10 of the counter (counter, 0, 0, 0) under each key."""
+    ctr = [np.full(k0.shape, counter, dtype=np.uint64)] + [np.zeros(k0.shape, np.uint64)] * 3
+    for rnd in range(10):
+        if rnd:
+            k0 = k0 + np.uint64(0x9E3779B97F4A7C15)
+            k1 = k1 + np.uint64(0xBB67AE8584CAA73B)
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, ctr[0])
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0]
+    return ctr
+
+
+def derive_uniforms(prefix: tuple, trials: int, count: int, suffix: tuple = (),
+                    first: int = 0) -> np.ndarray:
+    """Row r is ``derive_rng(*prefix, t, *suffix).random(count)`` with
+    t = first + r, bit for bit, for ``trials`` rows computed together; t
+    must stay below 2**32, so that it is one key word.  Its temporaries
+    are a few uint64 words per row, so callers ask for a block of rows at
+    a time.
+
+    It follows numpy's ``SeedSequence`` and Philox4x64-10 (Salmon et al.,
+    SC 2011), whose counter is bumped before each 4-word block, so the
+    first block is (1, 0, 0, 0); ``random()`` is ``(u >> 11) * 2**-53``.
+    A negative key int raises ``ValueError`` as ``SeedSequence`` does.
+    """
+    t = np.arange(first, first + trials, dtype=np.uint64)
+    k0, k1 = _seed_state([*_key_words(prefix), t, *_key_words(suffix)])
+    out = np.empty((trials, count))
+    for block in range(0, count, 4):
+        words = _philox(block // 4 + 1, k0, k1)
+        for j in range(min(4, count - block)):
+            out[:, block + j] = (words[j] >> 11) * 2.0 ** -53
+    return out
 
 
 @dataclass(frozen=True)

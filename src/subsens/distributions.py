@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algorithms import (DecisionRule, OrdinalSchedule, _check_k, derive_rng,
+from .algorithms import (DecisionRule, OrdinalSchedule, _check_k, derive_uniforms,
                          schedule_step_support)
 from .oracle import ValueOracle, GroundSet, ids_of
 
@@ -230,22 +230,44 @@ def exact_output_distribution(alg: Algorithm, oracle: ValueOracle, k: int, *,
     return dist.validate()
 
 
+# trials per derive_uniforms call.  One array for all 100,000 trials of the
+# appendixd-lb suite raised its peak RSS by 0.9 MB, reached in the EMDs that
+# follow the sampler; blocks keep each array small.
+_DRAW_BLOCK = 4096
+
+
+def _draws(key: tuple, trials: int, steps: int, per_step: bool):
+    """Each trial's draws in trial order, ``random(steps)`` keyed (*key, t)
+    or, per step, one ``random()`` keyed (*key, t, i) for each step i."""
+    for first in range(0, trials, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, trials - first)
+        if not per_step:
+            yield from derive_uniforms(key, size, steps, first=first)
+            continue
+        block = np.empty((size, steps))
+        for i in range(steps):
+            block[:, i] = derive_uniforms(key, size, 1, (i + 1,), first)[:, 0]
+        yield from block
+
+
 def _sample(alg: Algorithm, oracle: ValueOracle, k: int, trials: int, key: tuple,
             allowed: Optional[int] = None, per_step: bool = False) -> OutputDistribution:
     """Empirical distribution of ``trials`` runs from the empty set.
 
-    The algorithm is evaluated once per distinct current set (the step
-    index is its size plus one); its support's elements, cumulative sums
-    and draw scale are kept for the rest of the call.  Each caller keeps
-    its recorded stream.  ``per_step`` (``sampled_output_distribution``):
-    step i of trial t picks as ``Generator.choice`` does in the sequential
-    runners, from the substream keyed (*key, t, i), so trial t is their run
-    with ``seed_key=(*key, t)``; a rule's masses are divided by their sum
-    over all n ids, which need not equal the sum of the pairs bit for bit.
-    Keyed (the sensitivity scan): trial t draws ``random(steps)`` from the
-    substream keyed (*key, t); a rule's cumulative sums are searched for the
-    draw times their total, a schedule's for the raw draw, and a draw past
-    the last sum takes the last element.
+    The algorithm is evaluated once per distinct current set (the step index
+    is its size plus one); its support's elements, cumulative sums and draw
+    scale are kept for the rest of the call.  The draws come from
+    ``derive_uniforms``, a block of trials at a time, bit for bit those of
+    one ``derive_rng`` per substream, so each caller keeps its recorded
+    stream.  ``per_step`` (``sampled_output_distribution``): step i of trial
+    t picks as ``Generator.choice`` does in the sequential runners, from one
+    ``random()`` of the substream keyed (*key, t, i), so trial t is their
+    run with ``seed_key=(*key, t)``; a rule's masses are divided by their
+    sum over all n ids, which need not equal the sum of the pairs bit for
+    bit.  Keyed (the sensitivity scan): trial t draws ``random(steps)`` from
+    the substream keyed (*key, t); a rule's cumulative sums are searched for
+    the draw times their total, a schedule's for the raw draw, and a draw
+    past the last sum takes the last element.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -253,8 +275,7 @@ def _sample(alg: Algorithm, oracle: ValueOracle, k: int, trials: int, key: tuple
     is_rule = not isinstance(alg, OrdinalSchedule)
     counts: dict[int, int] = {}
     step_cache: dict[int, tuple] = {}
-    for t in range(trials):
-        draws = None if per_step else derive_rng(*key, t).random(steps)
+    for row in _draws(key, trials, steps, per_step):
         current = 0
         for i in range(steps):
             cached = step_cache.get(current)
@@ -272,8 +293,7 @@ def _sample(alg: Algorithm, oracle: ValueOracle, k: int, trials: int, key: tuple
                     cum /= cum[-1]  # so cum[-1] == 1.0 below
                 cached = step_cache[current] = (elements, cum, cum[-1] if is_rule else 1.0)
             elements, cum, scale = cached
-            draw = derive_rng(*key, t, i + 1).random() if per_step else draws[i]
-            idx = int(cum.searchsorted(draw * scale, side="right"))
+            idx = int(cum.searchsorted(row[i] * scale, side="right"))
             current |= 1 << elements[min(idx, len(elements) - 1)]
         counts[current] = counts.get(current, 0) + 1
     probs = {mask: c / trials for mask, c in counts.items()}

@@ -28,6 +28,7 @@ re-checks that certificate on the full r x c cost matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -80,14 +81,15 @@ class TransportPlan:
     ``mass_gap`` is sum(p) - sum(q) before balancing; ``reduced_rows`` and
     ``reduced_cols`` are the supports left to transport after cancelling
     the shared mass; ``bland_pivots`` counts the pivots taken under Bland's
-    rule after a degenerate stall.
+    rule after a degenerate stall; ``grid_trials`` is the trial count of two
+    empirical inputs that share it, and None otherwise.
     """
 
     sources: list[int]               # support masks, row order
     targets: list[int]               # support masks, column order
     entries: list[tuple[int, int, float]]   # (source mask, target mask, mass)
     cost: float
-    cost_rational: Optional[Fraction] = None
+    grid_trials: Optional[int] = None
     potentials_source: Optional[np.ndarray] = None
     potentials_target: Optional[np.ndarray] = None
     max_negative_reduced_cost: float = 0.0
@@ -98,6 +100,13 @@ class TransportPlan:
     mass_gap: float = 0.0
     reduced_rows: int = 0
     reduced_cols: int = 0
+
+    @cached_property
+    def cost_rational(self) -> Optional[Fraction]:
+        """The objective as an exact rational, computed when first read:
+        None unless ``grid_trials`` is set and every entry lies on its
+        grid."""
+        return _grid_cost(self.entries, self.grid_trials)
 
     def certificate_ok(self, tol: float = CERT_TOL) -> bool:
         return (self.max_negative_reduced_cost <= tol
@@ -347,8 +356,8 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     accepted up to MASS_TOL plus the mass both inputs recorded as pruned,
     and is absorbed into the largest target mass; InfeasibleMarginalsError
     when a support is empty or that mass would turn negative.  When both inputs are
-    empirical with the same trial count the objective is also reported as
-    an exact rational.
+    empirical with the same trial count the plan's ``cost_rational`` gives
+    the objective as an exact rational, computed when read.
     """
     if d1.n != d2.n:
         raise ValueError(f"ground sets differ: {d1.n} vs {d2.n}")
@@ -432,6 +441,7 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     rc -= v[None, :]
     plan = TransportPlan(
         sources=sources, targets=targets, entries=entries, cost=total,
+        grid_trials=_shared_trials(d1, d2),
         potentials_source=u, potentials_target=v,
         max_negative_reduced_cost=float(max(0.0, -rc.min())),
         max_marginal_residual=float(max(np.abs(row_sums - a).max(),
@@ -441,7 +451,6 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
         mass_gap=gap,
         reduced_rows=len(rows), reduced_cols=len(cols),
     )
-    plan.cost_rational = _rational_cost(d1, d2, entries)
     if not plan.certificate_ok():
         raise RuntimeError(
             f"EMD certificate failed: rc={plan.max_negative_reduced_cost}, "
@@ -449,19 +458,29 @@ def emd(d1: OutputDistribution, d2: OutputDistribution, *,
     return total, plan
 
 
+def _shared_trials(d1, d2) -> Optional[int]:
+    """The trial count of two empirical inputs, when they share one."""
+    if d1.mode == d2.mode == "empirical" and d1.trials and d1.trials == d2.trials:
+        return d1.trials
+    return None
+
+
 def _rational_cost(d1, d2, entries) -> Optional[Fraction]:
-    """Exact objective when both inputs are empirical with matching trials.
+    """Exact objective when both inputs are empirical with matching trials."""
+    return _grid_cost(entries, _shared_trials(d1, d2))
+
+
+def _grid_cost(entries, t: Optional[int]) -> Optional[Fraction]:
+    """Exact objective of entries on the grid of 1/t; None without t or
+    off the grid.
 
     Basic solutions of a transportation problem with integral marginals are
     integral, and the reduced marginals are differences of counts, so every
     entry, kept in place or transported, should be an integer multiple of
-    1/trials; verify the rounding before trusting it.
+    1/t; verify the rounding before trusting it.
     """
-    if d1.mode != "empirical" or d2.mode != "empirical":
+    if not t:
         return None
-    if not d1.trials or d1.trials != d2.trials:
-        return None
-    t = d1.trials
     total = 0
     for s, tgt, f in entries:
         count = round(f * t)

@@ -175,6 +175,25 @@ def test_sampled_mode_deterministic():
            [(r.element, r.emd) for r in r2.per_element]
 
 
+def test_sampled_scan_leaves_rational_costs_unread(monkeypatch):
+    # every solve of a sampled scan is between two empirical distributions
+    # of equal trials; the exact rational is computed only when read
+    from subsens import transport
+    calls = []
+    grid_cost = transport._grid_cost
+    monkeypatch.setattr(transport, "_grid_cost", lambda *a: calls.append(a) or grid_cost(*a))
+    f = build_function(FunctionSpec("appendixD_lb", n=12, c=0.75))
+    worst_case_sensitivity(proportional_greedy_rule(), f, 2, mode="sampled", trials=400,
+                           seed=3, elements=[0], bootstrap=5)
+    assert calls == []
+    d1, d2 = (sampled_output_distribution(proportional_greedy_rule(), f, 2, 400, seed=s)
+              for s in (1, 2))
+    value, plan = emd(d1, d2)
+    assert plan.grid_trials == 400 and calls == []
+    assert plan.cost_rational == plan.cost_rational and len(calls) == 1
+    assert float(plan.cost_rational) == pytest.approx(value, abs=1e-9)
+
+
 class SpyRule:
     """Proportional greedy that records every set it is evaluated at."""
 
