@@ -5,6 +5,15 @@ that lifts a centralized algorithm onto groups of machines.
 Machines are simulated by masking element visibility: every run sees only
 its shard (plus the shared pool), while the oracle object itself is shared
 read-only.  Sub-seeds derive from (seed, round, group, machine).
+
+Each ``greedi`` or ``barbosa_framework`` call memoizes deterministic greedy
+on an oracle with ``blocks`` by the pool's count in each run, capped at k:
+f is invariant inside a run, greedy compares runs in run order and takes
+the lowest pool members of the run it picks, and a run holding k or more
+pool members cannot run out within k steps.  Machines whose pools share
+that key share one solution's per-run counts and its value.  The memo is
+local to the call, so back-to-back calls cost the same oracle calls.
+Blocks that are not exactly invariant give wrong runs without any error.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 from .algorithms import (DecisionRule, OrdinalSchedule, KOutOfRangeError,
                          deterministic_greedy, derive_rng,
                          independent_sequential, run_sequential)
-from .oracle import ValueOracle
+from .oracle import InvalidElementError, ValueOracle
 
 
 class PoolOverflowError(RuntimeError):
@@ -98,16 +107,36 @@ class DistTrace:
 def _partition(n: int, machines: int, rng: np.random.Generator) -> list[int]:
     """iid-uniform machine assignment; returns one shard mask per machine."""
     assignment = rng.integers(0, machines, size=n)
-    return [int.from_bytes(np.packbits(assignment == i, bitorder="little").tobytes(), "little")
-            for i in range(machines)]
+    rows = np.packbits(assignment == np.arange(machines)[:, None], axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def _run_base(base: BaseAlgorithm, oracle: ValueOracle, k: int, allowed: int,
-              seed_key: tuple) -> int:
+              seed_key: tuple, memo: dict) -> tuple[int, float]:
+    """One machine's solution on ``allowed`` and its value.
+
+    Deterministic greedy on an oracle with blocks goes through ``memo``,
+    keyed by the pool's count in each run capped at k; a hit takes the
+    stored count of lowest pool members in each run and the stored value.
+    """
+    runs = oracle.blocks if base is None else None
+    if runs is not None:
+        key = tuple(min((allowed & run).bit_count(), k) for run in runs)
+        hit = memo.get(key)
+        if hit is not None:
+            picks, value = hit
+            mask = 0
+            for i, count in picks:
+                members = allowed & runs[i]
+                for _ in range(count):
+                    low = members & -members
+                    mask |= low
+                    members ^= low
+            return mask, value
     budget = min(k, allowed.bit_count())
     if budget == 0:
-        return 0
-    if base is None:
+        mask = 0
+    elif base is None:
         mask, _ = deterministic_greedy(oracle, budget, allowed=allowed)
     elif isinstance(base, OrdinalSchedule):
         mask, _ = independent_sequential(oracle, budget, base, 0,
@@ -115,7 +144,11 @@ def _run_base(base: BaseAlgorithm, oracle: ValueOracle, k: int, allowed: int,
     else:
         mask, _ = run_sequential(oracle, budget, base, 0,
                                  allowed=allowed, seed_key=seed_key)
-    return mask
+    value = oracle.value(mask)
+    if runs is not None:
+        memo[key] = ([(i, c) for i, run in enumerate(runs)
+                      if (c := (mask & run).bit_count())], value)
+    return mask, value
 
 
 def greedi(oracle: ValueOracle, k: int, m: int, seed: int) -> tuple[int, DistTrace]:
@@ -125,25 +158,27 @@ def greedi(oracle: ValueOracle, k: int, m: int, seed: int) -> tuple[int, DistTra
     deterministic greedy on its shard; the union of the partial solutions is
     re-solved on one machine; the answer is the best of the merged solution
     and the partials.  Ties prefer the merged solution, then the lowest
-    machine index (the tie is flagged on the trace).
+    machine index (the tie is flagged on the trace).  On an oracle with
+    blocks, machines whose pools have the same capped run counts share one
+    greedy solution and its value (module docstring).
     """
     if m < 1:
         raise ValueError(f"need m >= 1 machines, got {m}")
     if k < 1 or k > oracle.n:
         raise KOutOfRangeError(f"k={k} outside 1..{oracle.n}")
     trace = DistTrace()
+    memo: dict = {}
     shards = _partition(oracle.n, m, derive_rng(seed, 0, 0, 0))
     partials = []
     for i, shard in enumerate(shards, start=1):
-        sol = _run_base(None, oracle, k, shard, (seed, 1, 1, i))
-        row = DistTraceRow(1, 1, i, shard.bit_count(), sol, oracle.value(sol), shard=shard)
+        sol, value = _run_base(None, oracle, k, shard, (seed, 1, 1, i), memo)
+        row = DistTraceRow(1, 1, i, shard.bit_count(), sol, value, shard=shard)
         partials.append(row)
         trace.rows.append(row)
     union = 0
     for row in partials:
         union |= row.solution
-    merged = _run_base(None, oracle, k, union, (seed, 2, 1, 0))
-    best_value = oracle.value(merged)
+    merged, best_value = _run_base(None, oracle, k, union, (seed, 2, 1, 0), memo)
     trace.rows.append(DistTraceRow(2, 1, 0, union.bit_count(), merged,
                                    best_value, shard=union))
     best = merged
@@ -164,12 +199,15 @@ def barbosa_framework(oracle: ValueOracle, k: int, cfg: MpcConfig,
     Each round, every group partitions the ground set over its machines;
     each machine runs the base algorithm on shard plus pool; the incumbent
     keeps the best solution seen and the pool accumulates every round
-    solution.
+    solution.  With deterministic greedy as the base on an oracle with
+    blocks, machines whose pools have the same capped run counts share one
+    solution and its value (module docstring).
     """
     if k < 1 or k > oracle.n:
         raise KOutOfRangeError(f"k={k} outside 1..{oracle.n}")
     cfg.check_strict(oracle.n)
     trace = DistTrace()
+    memo: dict = {}
     pool = 0
     best, best_value = 0, float("-inf")
     for r in range(1, cfg.rounds + 1):
@@ -178,9 +216,9 @@ def barbosa_framework(oracle: ValueOracle, k: int, cfg: MpcConfig,
             shards = _partition(oracle.n, cfg.machines, derive_rng(seed, r, g, 0))
             for i, shard in enumerate(shards, start=1):
                 allowed = shard | pool
-                sol = _run_base(base, oracle, k, allowed, (seed, r, g, i))
+                sol, value = _run_base(base, oracle, k, allowed, (seed, r, g, i), memo)
                 round_rows.append(DistTraceRow(r, g, i, shard.bit_count(), sol,
-                                               oracle.value(sol), shard=shard))
+                                               value, shard=shard))
         trace.rows += round_rows
         for row in round_rows:
             sol, v = row.solution, row.value
@@ -198,11 +236,15 @@ def barbosa_framework(oracle: ValueOracle, k: int, cfg: MpcConfig,
 
 def sampled_distribution(runner, trials: int, n: int, k: int) -> "OutputDistribution":
     """Empirical output distribution of a distributed runner over seeds
-    0..trials-1.  ``runner(seed)`` must return a subset mask."""
+    0..trials-1.  ``runner(seed)`` must return a subset mask of 0..n-1."""
     from .distributions import OutputDistribution
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     counts: dict[int, int] = {}
     for t in range(trials):
         mask = runner(t)
+        if mask >> n:
+            raise InvalidElementError(f"mask {mask:#x} has bits beyond n={n}")
         counts[mask] = counts.get(mask, 0) + 1
     probs = {mask: c / trials for mask, c in counts.items()}
     return OutputDistribution(n, k, probs, mode="empirical", trials=trials)

@@ -6,7 +6,8 @@ from subsens import (FunctionSpec, MpcConfig, ValueOracle, barbosa_framework,
                      build_function, deterministic_greedy, greedi,
                      ids_of, mask_of)
 from subsens.algorithms import KOutOfRangeError, derive_rng
-from subsens.distsim import PoolOverflowError, _partition
+from subsens.distsim import PoolOverflowError, _partition, sampled_distribution
+from subsens.oracle import InvalidElementError
 
 
 def modular(*weights):
@@ -178,13 +179,31 @@ def test_trace_export_format():
 
 
 def test_distributed_runs_evaluate_each_solution_once():
-    # the pick of the best solution reads the value on each trace row
+    # the pick of the best solution reads the value on each trace row, and
+    # machines whose pools have the same capped run counts share one greedy
+    # run and its value
     f = build_function(FunctionSpec("greedi_lb", n=1024, c=0.5))
     before = f.calls
     _, trace = greedi(f, 4, 8, seed=0)
-    assert f.calls - before == 119
+    assert f.calls - before == 41
     assert all(row.value == f.value(row.solution) for row in trace.rows)
     g = build_function(FunctionSpec("framework_lb", n=1024, k=4, c=0.5))
     before = g.calls
-    barbosa_framework(g, 4, MpcConfig(machines=8, groups=2, rounds=3), None, seed=0)
-    assert g.calls - before == 858
+    _, trace = barbosa_framework(g, 4, MpcConfig(machines=8, groups=2, rounds=3), None, seed=0)
+    assert g.calls - before == 78
+    assert all(row.value == g.value(row.solution) for row in trace.rows)
+
+
+# --- sampled distributions ----------------------------------------------------
+
+
+def test_sampled_distribution_rejects_bad_trials_and_masks():
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        sampled_distribution(lambda t: 0b1, 0, 4, 1)
+    with pytest.raises(ValueError, match="trials must be >= 1, got -3"):
+        sampled_distribution(lambda t: 0b1, -3, 4, 1)
+    for bad in (1 << 4, 0b10001, -1):
+        with pytest.raises(InvalidElementError, match="has bits beyond n=4"):
+            sampled_distribution(lambda t: 0b1 if t < 2 else bad, 5, 4, 1)
+    d = sampled_distribution(lambda t: 0b1000 if t % 2 else 0b1, 4, 4, 1)
+    assert d.probs == {0b1: 0.5, 0b1000: 0.5}
