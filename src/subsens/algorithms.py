@@ -4,7 +4,8 @@ and ordinal-schedule (marginal-rank) runs.
 Tie-breaking is everywhere by lowest element id, which makes deterministic
 runs a single point mass.  Random draws come from a counter-based Philox
 generator keyed by (seed, step) so runs are reproducible independently of
-scheduling.
+scheduling.  ``run_sequential`` runs rules and schedules alike: each step
+searches the per-step sampler's table (``_step_table``) for one draw.
 """
 
 from __future__ import annotations
@@ -223,12 +224,11 @@ class RandomizedGreedyRule(DecisionRule):
     name = "randgreedy"
 
     def probabilities(self, oracle, current, k, allowed=None):
-        cands, margs = _marginals(oracle, current, allowed)
-        if not cands:
+        ranked, _ = _sorted_by_marginal(oracle, current, allowed)
+        if not ranked:
             raise KOutOfRangeError("no candidates left")
-        order = sorted(range(len(cands)), key=lambda i: (-margs[i], cands[i]))
-        top = sorted(order[:min(k, len(cands))])
-        return [(cands[i], 1.0 / len(top)) for i in top]
+        top = sorted(ranked[:k])
+        return [(e, 1.0 / len(top)) for e in top]
 
 
 class ProportionalGreedyRule(DecisionRule):
@@ -325,6 +325,34 @@ def schedule_step_support(schedule: OrdinalSchedule, oracle: ValueOracle, curren
     return [(ranked[p - 1], q, margs[p - 1]) for p, q in zip(positions, probs)]
 
 
+def _step_support(alg: DecisionRule | OrdinalSchedule, oracle: ValueOracle, current: int,
+                  step: int, k: int, allowed: Optional[int]) -> list[tuple[int, float]]:
+    """(element, probability) pairs for one step, each > 0: a rule's in
+    ascending id order, a schedule's in the order it lists its ranks."""
+    if isinstance(alg, OrdinalSchedule):
+        return [(e, q) for e, q, _ in
+                schedule_step_support(alg, oracle, current, step, allowed)]
+    return alg.probabilities(oracle, current, k, allowed)
+
+
+def _step_table(alg: DecisionRule | OrdinalSchedule, pairs: list[tuple[int, float]],
+                n: int) -> np.ndarray:
+    """The cumulative table ``Generator.choice`` searches for one step's
+    ``random()``: a rule's masses are first divided by their sum over all
+    n ids, which need not equal the sum of the pairs bit for bit, and must
+    lie within 1e-9 of 1; the cumsum is then divided by its last entry, so
+    it ends at 1.0 and a draw always lands inside it."""
+    masses = np.array([p for _, p in pairs])
+    if not isinstance(alg, OrdinalSchedule):
+        s = np.bincount([e for e, _ in pairs], masses, n).sum()
+        if abs(s - 1.0) > 1e-9:
+            raise ValueError(f"rule probabilities sum to {s}")
+        masses /= s
+    cum = np.cumsum(masses)
+    cum /= cum[-1]
+    return cum
+
+
 def _check_k(alg, oracle: ValueOracle, k: int, allowed: Optional[int]) -> int:
     """Steps of a run, min(k, |pool|); k outside 1..n, or a schedule with
     fewer steps than that, raises KOutOfRangeError."""
@@ -357,31 +385,29 @@ def deterministic_greedy(oracle: ValueOracle, k: int,
     return current, RunTrace(tuple(records), current)
 
 
-def run_sequential(oracle: ValueOracle, k: int, rule: DecisionRule, seed: int,
+def run_sequential(oracle: ValueOracle, k: int,
+                   rule: DecisionRule | OrdinalSchedule, seed: int,
                    allowed: Optional[int] = None,
                    seed_key: Optional[tuple] = None) -> tuple[int, RunTrace]:
-    """Draw k elements without replacement according to the rule.
+    """Draw k elements without replacement, each step from the rule's
+    pairs or the schedule's ranks (``_step_support``).
 
-    Reproducible: the draw at step i uses a generator keyed by (seed, i)
-    (or (*seed_key, i) when a composite key is supplied).
+    Reproducible: step i picks by one ``random()`` of the generator keyed
+    by (seed, i) (or (*seed_key, i) when a composite key is supplied),
+    searched in ``_step_table``, as ``Generator.choice`` does.  A schedule
+    that addresses a rank past the remaining pool raises
+    IndexBeyondRemainingError.
     """
     steps = _check_k(rule, oracle, k, allowed)
     key = seed_key if seed_key is not None else (seed,)
     current = 0
     records = []
     for i in range(1, steps + 1):
-        # draw over all n ids, as the streams were defined: the dense sum
-        # need not equal the sum of the pairs bit for bit
-        probs = np.zeros(oracle.n)
-        for e, p in rule.probabilities(oracle, current, k, allowed):
-            probs[e] = p
-        s = probs.sum()
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"rule probabilities sum to {s}")
-        rng = derive_rng(*key, i)
-        e = int(rng.choice(oracle.n, p=probs / s))
+        pairs = _step_support(rule, oracle, current, i, k, allowed)
+        cum = _step_table(rule, pairs, oracle.n)
+        e, p = pairs[int(cum.searchsorted(derive_rng(*key, i).random(), side="right"))]
         m = oracle.value(current | (1 << e)) - oracle.value(current)
-        records.append(StepRecord(i, e, m, float(probs[e])))
+        records.append(StepRecord(i, e, m, float(p)))
         current |= 1 << e
     return current, RunTrace(tuple(records), current)
 
@@ -389,20 +415,7 @@ def run_sequential(oracle: ValueOracle, k: int, rule: DecisionRule, seed: int,
 def independent_sequential(oracle: ValueOracle, k: int, schedule: OrdinalSchedule,
                            seed: int, allowed: Optional[int] = None,
                            seed_key: Optional[tuple] = None) -> tuple[int, RunTrace]:
-    """Rank-based sequential run: sort remaining elements by marginal
-    (descending, ties by lowest id) and pick a rank from the step's
-    distribution.  Aborts with IndexBeyondRemainingError when the schedule
-    addresses a rank past the remaining pool.
-    """
-    steps = _check_k(schedule, oracle, k, allowed)
-    key = seed_key if seed_key is not None else (seed,)
-    current = 0
-    records = []
-    for i in range(1, steps + 1):
-        support = schedule_step_support(schedule, oracle, current, i, allowed)
-        rng = derive_rng(*key, i)
-        idx = int(rng.choice(len(support), p=[q for _, q, _ in support]))
-        e, q, m = support[idx]
-        records.append(StepRecord(i, e, m, q))
-        current |= 1 << e
-    return current, RunTrace(tuple(records), current)
+    """Rank-based sequential run: ``run_sequential`` with a schedule, which
+    sorts the remaining elements by marginal (descending, ties by lowest
+    id) and picks a rank from the step's distribution."""
+    return run_sequential(oracle, k, schedule, seed, allowed, seed_key)

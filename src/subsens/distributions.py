@@ -12,6 +12,9 @@ members.  Exact distributions of such rules therefore rely on the blocks
 being exactly invariant: blocks that are not give wrong distributions
 without any error.  Other rules, schedules and oracles without blocks are
 evaluated at every node.
+
+The sampler's per-step stream searches the step table of ``run_sequential``
+(``algorithms._step_table``); only the scan's keyed stream has its own.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algorithms import (DecisionRule, OrdinalSchedule, _check_k, derive_uniforms,
-                         schedule_step_support)
+from .algorithms import (DecisionRule, OrdinalSchedule, _check_k, _step_support,
+                         _step_table, derive_uniforms)
 from .oracle import ValueOracle, GroundSet, ids_of
 
 Algorithm = Union[DecisionRule, OrdinalSchedule]
@@ -124,16 +127,6 @@ class OutputDistribution:
         lost = probs.pop("lost_mass", 0.0)
         k = max((m.bit_count() for m in probs), default=0)
         return cls(n, k, probs, mode=mode, trials=trials, lost_mass=lost)
-
-
-def _step_support(alg: Algorithm, oracle: ValueOracle, current: int, step: int,
-                  k: int, allowed: Optional[int]) -> list[tuple[int, float]]:
-    """(element, probability) pairs for one step, each > 0: a rule's in
-    ascending id order, a schedule's in the order it lists its ranks."""
-    if isinstance(alg, OrdinalSchedule):
-        return [(e, q) for e, q, _ in
-                schedule_step_support(alg, oracle, current, step, allowed)]
-    return alg.probabilities(oracle, current, k, allowed)
 
 
 def _level_dp(alg: Algorithm, oracle: ValueOracle, k: int, node_budget: int,
@@ -260,14 +253,13 @@ def _sample(alg: Algorithm, oracle: ValueOracle, k: int, trials: int, key: tuple
     ``derive_uniforms``, a block of trials at a time, bit for bit those of
     one ``derive_rng`` per substream, so each caller keeps its recorded
     stream.  ``per_step`` (``sampled_output_distribution``): step i of trial
-    t picks as ``Generator.choice`` does in the sequential runners, from one
-    ``random()`` of the substream keyed (*key, t, i), so trial t is their
-    run with ``seed_key=(*key, t)``; a rule's masses are divided by their
-    sum over all n ids, which need not equal the sum of the pairs bit for
-    bit.  Keyed (the sensitivity scan): trial t draws ``random(steps)`` from
-    the substream keyed (*key, t); a rule's cumulative sums are searched for
-    the draw times their total, a schedule's for the raw draw, and a draw
-    past the last sum takes the last element.
+    t searches ``_step_table`` for one ``random()`` of the substream keyed
+    (*key, t, i), as ``run_sequential`` does, so trial t is its run with
+    ``seed_key=(*key, t)``.  Keyed (the sensitivity scan): trial t draws
+    ``random(steps)`` from the substream keyed (*key, t); a rule's
+    cumulative sums are searched for the draw times their total, a
+    schedule's for the raw draw, and a draw past the last sum takes the
+    last element.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -281,17 +273,12 @@ def _sample(alg: Algorithm, oracle: ValueOracle, k: int, trials: int, key: tuple
             cached = step_cache.get(current)
             if cached is None:
                 pairs = _step_support(alg, oracle, current, i + 1, k, allowed)
-                elements = [e for e, _ in pairs]
-                masses = np.array([p for _, p in pairs])
-                if per_step and is_rule:
-                    s = np.bincount(elements, masses, oracle.n).sum()
-                    if abs(s - 1.0) > 1e-9:
-                        raise ValueError(f"rule probabilities sum to {s}")
-                    masses /= s
-                cum = np.cumsum(masses)
                 if per_step:
-                    cum /= cum[-1]  # so cum[-1] == 1.0 below
-                cached = step_cache[current] = (elements, cum, cum[-1] if is_rule else 1.0)
+                    cum, scale = _step_table(alg, pairs, oracle.n), 1.0
+                else:
+                    cum = np.cumsum([p for _, p in pairs])
+                    scale = cum[-1] if is_rule else 1.0
+                cached = step_cache[current] = ([e for e, _ in pairs], cum, scale)
             elements, cum, scale = cached
             idx = int(cum.searchsorted(row[i] * scale, side="right"))
             current |= 1 << elements[min(idx, len(elements) - 1)]

@@ -25,8 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algorithms import (DecisionRule, OrdinalSchedule, KOutOfRangeError,
-                         deterministic_greedy, derive_rng,
-                         independent_sequential, run_sequential)
+                         deterministic_greedy, derive_rng, run_sequential)
 from .oracle import InvalidElementError, ValueOracle
 
 
@@ -106,8 +105,10 @@ class DistTrace:
 
 def _partition(n: int, machines: int, rng: np.random.Generator) -> list[int]:
     """iid-uniform machine assignment; returns one shard mask per machine."""
-    assignment = rng.integers(0, machines, size=n)
-    rows = np.packbits(assignment == np.arange(machines)[:, None], axis=1, bitorder="little")
+    dtype = np.min_scalar_type(machines)  # no int64 buffers in the comparison
+    assignment = rng.integers(0, machines, size=n).astype(dtype)
+    rows = np.packbits(assignment == np.arange(machines, dtype=dtype)[:, None], axis=1,
+                       bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
@@ -138,9 +139,6 @@ def _run_base(base: BaseAlgorithm, oracle: ValueOracle, k: int, allowed: int,
         mask = 0
     elif base is None:
         mask, _ = deterministic_greedy(oracle, budget, allowed=allowed)
-    elif isinstance(base, OrdinalSchedule):
-        mask, _ = independent_sequential(oracle, budget, base, 0,
-                                         allowed=allowed, seed_key=seed_key)
     else:
         mask, _ = run_sequential(oracle, budget, base, 0,
                                  allowed=allowed, seed_key=seed_key)

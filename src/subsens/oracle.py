@@ -423,13 +423,10 @@ class FunctionSpec:
     i_max: Optional[int] = None     # largest ordinal position the schedule can address
     m: Optional[int] = None         # indicator prefix length for avg_* families
 
-    _TEXT_FIELDS = ("family", "n", "k", "c", "weights", "scale", "ratio",
-                    "eps", "j", "i_max", "m")
-
     def to_text(self) -> str:
         lines = []
-        for name in self._TEXT_FIELDS:
-            value = getattr(self, name)
+        for f in fields(self):
+            name, value = f.name, getattr(self, f.name)
             if value is None:
                 continue
             if name == "weights":

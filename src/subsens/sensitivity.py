@@ -119,8 +119,10 @@ class SensitivityReport:
             rows.append((int(e), float(v), mode, int(trials) if trials else None))
             i += 1
         summary = {}
-        if i + 2 <= len(lines) and lines[i + 1] == "worst_case,average,bound_ub,bound_lb,pass":
-            parts = lines[i + 2].split(",")
+        if i + 1 < len(lines) and lines[i + 1] == "worst_case,average,bound_ub,bound_lb,pass":
+            parts = lines[i + 2].split(",") if i + 2 < len(lines) else []
+            if len(parts) != 5:
+                raise ValueError(f"summary row needs 5 fields, got {len(parts)}")
             summary = {"worst_case": float(parts[0]), "average": float(parts[1]),
                        "bound_ub": float(parts[2]) if parts[2] else None,
                        "bound_lb": float(parts[3]) if parts[3] else None,

@@ -465,11 +465,6 @@ def _shared_trials(d1, d2) -> Optional[int]:
     return None
 
 
-def _rational_cost(d1, d2, entries) -> Optional[Fraction]:
-    """Exact objective when both inputs are empirical with matching trials."""
-    return _grid_cost(entries, _shared_trials(d1, d2))
-
-
 def _grid_cost(entries, t: Optional[int]) -> Optional[Fraction]:
     """Exact objective of entries on the grid of 1/t; None without t or
     off the grid.

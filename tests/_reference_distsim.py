@@ -7,9 +7,10 @@ value from the oracle.
 best mask and the same trace from it, and raise the same errors; this copy
 is the other side of that differential test.  Do not edit it to follow the
 library.  It imports from subsens only the pieces the runs called and
-still call: the base algorithms, the key convention (``derive_rng``) and
+still call: deterministic greedy, the key convention (``derive_rng``) and
 the trace and configuration types.  The partition is frozen too, with one
-``np.packbits`` call per machine.
+``np.packbits`` call per machine, and the rule and schedule runners come
+from the frozen ``tests/_reference_runner.py``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from subsens.algorithms import (KOutOfRangeError, OrdinalSchedule,
-                                deterministic_greedy, derive_rng,
-                                independent_sequential, run_sequential)
+                                deterministic_greedy, derive_rng)
 from subsens.distsim import (DistTrace, DistTraceRow, MpcConfig,
                              PoolOverflowError)
+
+from _reference_runner import independent_sequential, run_sequential
 
 
 def _partition(n: int, machines: int, rng: np.random.Generator) -> list[int]:

@@ -3,7 +3,8 @@
 Every criterion runs through the same suite machinery as ``subsens
 reproduce`` so the CLI artifacts and this module can never drift apart.
 Suites are cached per session; the reproducibility criterion re-runs each
-one and compares CSV bytes.
+one and compares CSV bytes, and the golden test compares each first run's
+bytes with the CSV recorded in ``tests/golden/``.
 
 Criterion 7 is expected to FAIL on the two separation-cascade families
 (prop_lb, avg_prop_lb): their measured exact sensitivity approaches 2k,
@@ -18,6 +19,8 @@ import os
 import pytest
 
 from subsens.harness import SUITES, run_suite
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 _CACHE: dict[str, object] = {}
 _OUTDIRS: dict[str, str] = {}
@@ -150,3 +153,17 @@ def test_suite_cells_are_plain_numbers(suite_dir):
         get_suite(suite_id, suite_dir)
         with open(os.path.join(_OUTDIRS[suite_id], f"{suite_id}.csv")) as fh:
             assert "np." not in fh.read(), suite_id
+
+
+def test_suite_csvs_match_golden(suite_dir):
+    # every first run byte for byte against its recorded CSV, prop-ub's
+    # three FAIL rows (criterion 7) as they stand
+    mismatched = []
+    for suite_id in sorted(SUITES):
+        get_suite(suite_id, suite_dir)
+        with open(os.path.join(_OUTDIRS[suite_id], f"{suite_id}.csv"), "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(GOLDEN, f"{suite_id}.csv"), "rb") as fh:
+            if got != fh.read():
+                mismatched.append(suite_id)
+    assert not mismatched, f"suites whose CSV differs from tests/golden/: {mismatched}"

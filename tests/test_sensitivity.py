@@ -564,6 +564,16 @@ def test_report_csv_round_trip():
     assert parsed["summary"]["bound_ub"] == report.bounds["upper"]
 
 
+def test_report_csv_with_truncated_summary_rejected():
+    # a CSV that ends after the summary header, or whose summary row has
+    # fewer than 5 fields, raises ValueError instead of IndexError
+    head = "deleted_element,emd,mode,trials\n0,1.5,exact,\n\n" \
+           "worst_case,average,bound_ub,bound_lb,pass\n"
+    for text in (head, head + "1.5,1.5,2.0\n"):
+        with pytest.raises(ValueError, match="summary row"):
+            SensitivityReport.parse_csv(text)
+
+
 def test_attach_bounds_flags_constant_discrepancy():
     f = build_function(FunctionSpec("greedi_lb", n=8, c=0.5))
     report = worst_case_sensitivity(proportional_greedy_rule(), f, 2)

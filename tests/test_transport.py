@@ -15,8 +15,8 @@ from subsens import (FunctionSpec, OutputDistribution, build_function, emd,
                      proportional_greedy_rule, restrict, sym_diff_cost,
                      tv_distance, worst_case_sensitivity)
 from subsens.transport import (InfeasibleMarginalsError,
-                               SupportCapExceededError, _network_simplex,
-                               _rational_cost)
+                               SupportCapExceededError, _grid_cost,
+                               _network_simplex, _shared_trials)
 
 from _dfs_simplex import dfs_network_simplex
 from _oracles import bruteforce_emd
@@ -594,15 +594,15 @@ def test_rational_cost_none_off_grid_mismatched_or_exact():
     d1 = dist(4, 1, {0b0001: 0.5, 0b0010: 0.5}, mode="empirical", trials=8)
     d2 = dist(4, 1, {0b0001: 0.75, 0b0100: 0.25}, mode="empirical", trials=8)
     on_grid = [(0b0001, 0b0001, 0.5), (0b0010, 0b0001, 0.25), (0b0010, 0b0100, 0.25)]
-    assert _rational_cost(d1, d2, on_grid) == Fraction(1, 1)
+    assert _grid_cost(on_grid, _shared_trials(d1, d2)) == Fraction(1, 1)
     # 0.0625 is half of 1/8: off the grid of 8 trials
     off_grid = [(0b0001, 0b0001, 0.5), (0b0010, 0b0001, 0.4375),
                 (0b0010, 0b0100, 0.0625)]
-    assert _rational_cost(d1, d2, off_grid) is None
+    assert _grid_cost(off_grid, _shared_trials(d1, d2)) is None
     d3 = dist(4, 1, {0b0001: 0.7, 0b0100: 0.3}, mode="empirical", trials=10)
-    assert _rational_cost(d1, d3, on_grid) is None
+    assert _grid_cost(on_grid, _shared_trials(d1, d3)) is None
     assert emd(d1, d3)[1].cost_rational is None
     e1 = dist(4, 1, {0b0001: 0.5, 0b0010: 0.5})
     e2 = dist(4, 1, {0b0001: 0.75, 0b0100: 0.25})
-    assert _rational_cost(e1, e2, on_grid) is None
-    assert _rational_cost(d1, e2, on_grid) is None
+    assert _grid_cost(on_grid, _shared_trials(e1, e2)) is None
+    assert _grid_cost(on_grid, _shared_trials(d1, e2)) is None
